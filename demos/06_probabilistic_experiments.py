@@ -5,7 +5,7 @@ The asymptotic claim says td_min of a random tournament class eventually
 exceeds k(n) ~ log2 n - 2 log2 log2(2n) - O(1).  Everything a laptop can
 enumerate sits far below the regime where that threshold is even positive,
 and the demos below make the gap concrete: the inequalities kick in around
-n in the thousands, while exact td_min computation tops out near n = 64.
+n in the thousands, while exact td_min computation tops out near n = 128.
 """
 
 from teachlab import (

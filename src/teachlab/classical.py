@@ -1,13 +1,13 @@
 """Teaching dimension, its extremes over a class, and the recursive variant.
 
 A teaching set for C within class CC must intersect every difference set
-{x : C(x) != C'(x)} over competitors C' in CC, so the minimal teaching set
-is exactly a minimum hitting set of the difference masks.  One
-branch-and-bound decision kernel underlies everything here: it branches on
-the instances of the smallest uncovered difference set and prunes with a
-greedy disjoint-packing lower bound.  td_min and rtd only ever ask decision
-questions (iterative deepening), which is much cheaper than minimizing per
-concept; td_of additionally extracts the lexicographically least witness.
+{x : C(x) != C'(x)} over competitors C' in CC.  td_min and rtd search all
+concepts at once by splitting cells of agreeing concepts (see _easiest).
+td_of, td_max and teaching_report need each concept's own minimum and its
+lexicographically least witness: a minimum hitting set of the difference
+masks, by branching on the smallest uncovered mask with a greedy
+disjoint-packing lower bound.  rtd_bruteforce uses that kernel too, so it
+stays a reference independent of rtd.
 """
 
 from __future__ import annotations
@@ -102,6 +102,41 @@ def _sorted_diffs(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
     return diffs
 
 
+def _easiest(k: ConceptClass, live: int, first: bool) -> tuple[int, int]:
+    """td_min within `live` (a bitset over concept indices) and the concepts attaining it.
+
+    Iterative deepening over increasing instance sequences in which each
+    instance splits the cell of concepts agreeing on the ones before it; a
+    one-concept part at depth s is a teaching set of size s.  Every minimum
+    teaching set is such a sequence, since an instance that does not split
+    its cell could be dropped.  With first, only the first concept found.
+    """
+    if live & (live - 1) == 0:
+        return 0, live
+    # column x: the bitset of concepts containing instance x+1, by transposing bitstrings
+    rows = [f"{m:0{k.n}b}"[::-1] for m in k.masks]
+    cols = (int("".join(col)[::-1], 2) & live for col in zip(*rows))
+    splitters = [h for h in cols if h and h != live]
+    s = found = 0
+    while not found:
+        s += 1
+        stack = [(live, 0, s)]
+        while stack:
+            cell, start, budget = stack.pop()
+            for j in range(start, len(splitters)):
+                a = cell & splitters[j]
+                if a == 0 or a == cell:
+                    continue
+                for part in (a, cell ^ a):
+                    if part & (part - 1) == 0:
+                        if first:
+                            return s, part
+                        found |= part
+                    elif budget > 1:
+                        stack.append((part, j + 1, budget - 1))
+    return s, found
+
+
 def is_teaching_set(k: ConceptClass, c: Concept, s) -> bool:
     """True iff no other concept of k agrees with c on all of s."""
     i = k.index_of(c)
@@ -121,16 +156,7 @@ def td_min(k: ConceptClass) -> int:
     """min over concepts C of TD(C, k), by iterative deepening over set sizes."""
     if len(k) == 0:
         raise ValueError("td_min of an empty class")
-    return _td_min_lists([_sorted_diffs(k.masks, i) for i in range(len(k))], k.n)
-
-
-def _td_min_lists(per_concept: list[list[int]], n: int) -> int:
-    full = (1 << n) - 1
-    for s in range(n + 1):
-        for diffs in per_concept:
-            if _hit_decision(diffs, s, full):
-                return s
-    raise AssertionError("no concept is teachable by the full domain")
+    return _easiest(k, (1 << len(k)) - 1, first=True)[0]
 
 
 def td_max(k: ConceptClass) -> int:
@@ -182,16 +208,12 @@ def rtd(k: ConceptClass) -> int:
     remaining class equals that class's td_min; the empty remainder
     contributes 0.
     """
-    masks = list(k.masks)
-    n = k.n
-    full = (1 << n) - 1
+    live = (1 << len(k)) - 1
     best = 0
-    while masks:
-        per = [_sorted_diffs(masks, i) for i in range(len(masks))]
-        m = _td_min_lists(per, n)
-        if m > best:
-            best = m
-        masks = [masks[i] for i in range(len(masks)) if not _hit_decision(per[i], m, full)]
+    while live:
+        s, easiest = _easiest(k, live, first=False)
+        best = max(best, s)
+        live &= ~easiest
     return best
 
 

@@ -14,6 +14,7 @@ through an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -177,7 +178,8 @@ def _cmd_nctd(args) -> CommandOutcome:
     res = nctd(k, d_max=args.max_d, timeout=timeout)
     emitted = None
     if res.status == "exact" and args.emit_teacher:
-        assert res.teacher is not None
+        if res.teacher is None:
+            raise AssertionError("nctd reported an exact value without a teacher")
         _write(args.emit_teacher, serialize_teacher(res.teacher))
         emitted = args.emit_teacher
     if args.json:
@@ -281,7 +283,8 @@ def _cmd_tournament_recover(args) -> CommandOutcome:
         res = nctd(k, d_max=1, timeout=_default_timeout())
         if res.status != "exact":
             raise PropertyViolation("class admits no order-1 no-clash teacher")
-        assert res.teacher is not None
+        if res.teacher is None:
+            raise AssertionError("nctd reported an exact value without a teacher")
         t = res.teacher
     g = recover_tournament(k, t)
     if args.json:
@@ -473,6 +476,7 @@ def _cmd_search_maxclass(args) -> CommandOutcome:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teachlab",

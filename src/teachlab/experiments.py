@@ -183,7 +183,7 @@ class ExperimentConfig:
     seed: int
     k_override: int | None = None
     include_rtd_up_to: int = 0
-    max_n: int = 64
+    max_n: int = 128
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -221,7 +221,8 @@ def _trial_record(args: tuple[int, int, int, bool]) -> TrialRecord:
     k1 = class1(g)
     td = td_min(k1)
     nc = nctd(k1).d
-    assert nc is not None
+    if nc is None:
+        raise AssertionError("nctd without d_max or timeout ended without a value")
     r = rtd(k1) if with_rtd else None
     return TrialRecord(trial, trial_seed, td, nc, r)
 
@@ -307,7 +308,8 @@ def pattern_report(g: Tournament, k: int) -> PatternReport:
             min_count = overall
         if realized == 1:
             unique = True
-    assert min_count is not None and min_realized is not None
+    if min_count is None or min_realized is None:
+        raise AssertionError("0 <= k <= n leaves at least one k-subset to scan")
     return PatternReport(g.n, k, min_count, min_realized, unique)
 
 
@@ -366,13 +368,8 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
 
 def _canonical_class(masks, n: int) -> tuple[int, ...]:
     """Least image of the class under all domain permutations."""
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        img = tuple(sorted(_apply_perm(m, perm) for m in masks))
-        if best is None or img < best:
-            best = img
-    assert best is not None
-    return best
+    return min(tuple(sorted(_apply_perm(m, perm) for m in masks))
+               for perm in itertools.permutations(range(n)))
 
 
 @dataclass(frozen=True)
@@ -443,7 +440,7 @@ class TauReport:
 
 
 def tau_estimate(n: int, trials: int, seed: int, k_override: int | None = None,
-                 max_n: int = 64) -> TauReport:
+                 max_n: int = 128) -> TauReport:
     """Fraction of random tournaments with td_min(class1) <= k, with a Wilson 95% CI.
 
     k defaults to floor(log2 n - 2 log2 log2(2n)) - 5; at desk scale that is

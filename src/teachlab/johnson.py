@@ -277,7 +277,8 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
         extract(0, 0)
     finally:
         sys.setrecursionlimit(old_limit)
-    assert witness is not None
+    if witness is None:
+        raise AssertionError("witness extraction missed the optimum the search proved")
     fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in witness))
     return HMaxResult(n, k, t, "exact", best, fam, best, best)
 

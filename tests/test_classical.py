@@ -27,7 +27,7 @@ from teachlab import (
     teaching_report,
 )
 
-from oracles import brute_td, brute_td_max, brute_td_min, isolating
+from oracles import brute_rtd, brute_td, brute_td_max, brute_td_min, isolating
 
 HALF_INTERVALS_3 = ConceptClass.from_masks([0, 1, 3, 7, 6, 4], 3)
 
@@ -95,7 +95,7 @@ def _random_class(rng: random.Random, n_max: int = 5, size_max: int = 10):
 def test_td_matches_bruteforce_randomized():
     rng = random.Random(20260815)
     for _ in range(150):
-        k, n = _random_class(rng)
+        k, n = _random_class(rng, n_max=7, size_max=24)
         masks = list(k.masks)
         rep = teaching_report(k)
         for i in range(len(k)):
@@ -118,7 +118,7 @@ def test_rtd_equals_subclass_maximum_randomized():
     rng = random.Random(99)
     for _ in range(60):
         k, n = _random_class(rng, n_max=5, size_max=8)
-        assert rtd(k) == rtd_bruteforce(k)
+        assert rtd(k) == rtd_bruteforce(k) == brute_rtd(list(k.masks), n)
 
 
 @settings(deadline=None, max_examples=60)

@@ -225,6 +225,21 @@ def test_experiment_tdmin_csv_file_matches_stdout(tmp_path):
     assert out.read_text(encoding="ascii") == golden("tdmin_n6_s42_t3.csv")
 
 
+def test_experiment_tdmin_n64_csv_golden(tmp_path):
+    # the criterion-10 configuration, recorded with the per-concept hitting-set kernel
+    out = tmp_path / "runs.csv"
+    code = dispatch(["experiment", "tdmin", "--n", "64", "--trials", "200",
+                     "--seed", "20260815", "--out", str(out)]).code
+    assert code == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "tdmin_n64_s20260815_t200.csv").read_bytes()
+
+
+def test_experiment_tdmin_over_budget():
+    outcome = dispatch(["experiment", "tdmin", "--n", "129", "--trials", "1", "--seed", "0"])
+    assert outcome.code == EXIT_BUDGET
+    assert "n <= 128" in outcome.text
+
+
 def test_experiment_claim_scan(capsys):
     assert main(["experiment", "claim", "--scan-max", "8192"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -247,7 +247,12 @@ def test_run_tdmin_experiment_values_are_genuine():
 
 def test_run_tdmin_experiment_budget():
     with pytest.raises(BudgetError):
-        run_tdmin_experiment(ExperimentConfig(n=80, trials=1, seed=0))
+        run_tdmin_experiment(ExperimentConfig(n=129, trials=1, seed=0))
+    with pytest.raises(BudgetError):
+        tau_estimate(129, 1, 0, k_override=1)
+    (record,), _ = run_tdmin_experiment(ExperimentConfig(n=128, trials=1, seed=1))
+    assert record.td_min == 3
+    assert not pattern_report(random_tournament(128, record.seed), 2).unique_exists
 
 
 def test_tau_estimate_vacuous_below_one():
