@@ -16,15 +16,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .bounds import bound_report
 from .classical import rtd, rtd_bruteforce, teaching_report
-from .concepts import Concept, ConceptClass, parse_class, serialize_class
+from .concepts import ConceptClass, parse_class, serialize_class
 from .errors import BudgetError, FormatError, PropertyViolation
 from .experiments import (
     ExperimentConfig,
@@ -35,8 +35,9 @@ from .experiments import (
     verify_dim1,
 )
 from .johnson import h_max, serialize_family
-from .ncteach import NCTeacher, clash, is_nc_teacher, nctd, parse_teacher, serialize_teacher
+from .ncteach import NCTeacher, _first_clash, nctd, parse_teacher, serialize_teacher
 from .tournaments import (
+    Tournament,
     class1,
     class2,
     linear_tournament,
@@ -69,10 +70,6 @@ def _jreal(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _frac(q: Fraction) -> str:
-    return str(q)
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="ascii")
 
@@ -81,18 +78,33 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="ascii")
 
 
-def _jdump(obj) -> str:
-    return json.dumps(obj)
+def _budget_secs(raw: str) -> float:
+    """A search budget in seconds >= 0; NaN is refused, as no deadline would ever pass it."""
+    try:
+        secs = float(raw)
+    except ValueError:
+        secs = math.nan
+    if not secs >= 0:
+        raise FormatError(f"--timeout and {BUDGET_ENV} take a number of seconds >= 0,"
+                          f" got {raw!r}")
+    return secs
 
 
 def _default_timeout() -> float | None:
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise FormatError(f"{BUDGET_ENV} must be a number, got {raw!r}") from None
+    return None if raw is None else _budget_secs(raw)
+
+
+def _read_class(path: str) -> ConceptClass:
+    return parse_class(_read(path))
+
+
+def _read_teacher(path: str, k: ConceptClass) -> NCTeacher:
+    """Parse a teacher file whose concepts must be exactly those of k, in any order."""
+    t = parse_teacher(_read(path))
+    if t.k.n != k.n or set(t.k.masks) != set(k.masks):
+        raise FormatError("teacher file does not cover exactly the concepts of the class file")
+    return t
 
 
 def _witness_str(w) -> str:
@@ -103,7 +115,7 @@ def _witness_str(w) -> str:
 
 
 def _cmd_td(args) -> CommandOutcome:
-    k = parse_class(_read(args.class_file))
+    k = _read_class(args.class_file)
     rep = teaching_report(k)
     if args.concept is not None:
         if not 0 <= args.concept < len(k):
@@ -111,7 +123,7 @@ def _cmd_td(args) -> CommandOutcome:
         i = args.concept
         c = k.concepts[i]
         if args.json:
-            return CommandOutcome(EXIT_OK, _jdump({
+            return CommandOutcome(EXIT_OK, json.dumps({
                 "n": k.n, "index": i, "concept": c.to_string(),
                 "td": rep.sizes[i], "witness": sorted(rep.witnesses[i]),
             }))
@@ -126,7 +138,7 @@ def _cmd_td(args) -> CommandOutcome:
         _write(args.csv, "\n".join(lines) + "\n")
         csv_path = args.csv
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
+        return CommandOutcome(EXIT_OK, json.dumps({
             "n": k.n, "size": len(k),
             "concepts": [
                 {"index": i, "concept": k.concepts[i].to_string(),
@@ -147,7 +159,7 @@ def _cmd_td(args) -> CommandOutcome:
 
 
 def _cmd_rtd(args) -> CommandOutcome:
-    k = parse_class(_read(args.class_file))
+    k = _read_class(args.class_file)
     r = rtd(k)
     oracle = rtd_bruteforce(k) if args.oracle else None
     if args.json:
@@ -156,7 +168,7 @@ def _cmd_rtd(args) -> CommandOutcome:
             out["oracle"] = oracle
             out["match"] = oracle == r
         code = EXIT_PROPERTY if args.oracle and oracle != r else EXIT_OK
-        return CommandOutcome(code, _jdump(out))
+        return CommandOutcome(code, json.dumps(out))
     if args.oracle and oracle != r:
         return CommandOutcome(EXIT_PROPERTY,
                               f"rtd mismatch: recursive={r} bruteforce={oracle}")
@@ -173,7 +185,7 @@ def _teacher_json(t: NCTeacher) -> list[dict]:
 
 
 def _cmd_nctd(args) -> CommandOutcome:
-    k = parse_class(_read(args.class_file))
+    k = _read_class(args.class_file)
     timeout = args.timeout if args.timeout is not None else _default_timeout()
     res = nctd(k, d_max=args.max_d, timeout=timeout)
     emitted = None
@@ -189,7 +201,7 @@ def _cmd_nctd(args) -> CommandOutcome:
         if emitted:
             out["teacher_file"] = emitted
         code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, _jdump(out))
+        return CommandOutcome(code, json.dumps(out))
     if res.status == "exact":
         lines = [f"nctd = {res.d}", f"verified lower bound = {res.lower_bound}"]
         if emitted:
@@ -204,25 +216,16 @@ def _cmd_nctd(args) -> CommandOutcome:
 
 
 def _cmd_verify_teacher(args) -> CommandOutcome:
-    k = parse_class(_read(args.class_file))
-    t = parse_teacher(_read(args.teacher))
-    if t.k.n != k.n or set(t.k.masks) != set(k.masks):
-        raise FormatError("teacher file does not cover exactly the concepts of the class file")
-    bad = None
+    k = _read_class(args.class_file)
+    t = _read_teacher(args.teacher, k)
+    bad = _first_clash(t)
     cs = t.k.concepts
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if clash(cs[i], cs[j], t.sets[i], t.sets[j]):
-                bad = (i, j)
-                break
-        if bad:
-            break
     if args.json:
         out = {"n": k.n, "size": len(k), "order": t.order,
                "admissible": bad is None}
         if bad:
             out["clash"] = [cs[bad[0]].to_string(), cs[bad[1]].to_string()]
-        return CommandOutcome(EXIT_OK if bad is None else EXIT_PROPERTY, _jdump(out))
+        return CommandOutcome(EXIT_OK if bad is None else EXIT_PROPERTY, json.dumps(out))
     if bad is None:
         return CommandOutcome(EXIT_OK, f"teacher is admissible (order {t.order})")
     i, j = bad
@@ -235,15 +238,17 @@ def _cmd_verify_teacher(args) -> CommandOutcome:
 # ---------------------------------------------------------------- tournament
 
 
+def _tournament_json(g: Tournament) -> dict:
+    return {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
+
+
 def _cmd_tournament_gen(args) -> CommandOutcome:
     g = linear_tournament(args.n) if args.linear else random_tournament(args.n, args.seed)
     text = serialize_tournament(g)
     if args.out:
         _write(args.out, text)
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
-            "n": g.n, "edges": [[i, j] for i, j in g.edges()],
-        }))
+        return CommandOutcome(EXIT_OK, json.dumps(_tournament_json(g)))
     if args.out:
         return CommandOutcome(EXIT_OK, f"wrote tournament to {args.out}")
     return CommandOutcome(EXIT_OK, text.rstrip("\n"))
@@ -256,7 +261,7 @@ def _cmd_tournament_class(args) -> CommandOutcome:
     if args.out:
         _write(args.out, text)
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
+        return CommandOutcome(EXIT_OK, json.dumps({
             "n": k.n, "mode": args.mode,
             "concepts": [c.to_string() for c in k.concepts],
         }))
@@ -273,12 +278,9 @@ def _align_teacher(k: ConceptClass, t: NCTeacher) -> NCTeacher:
 
 
 def _cmd_tournament_recover(args) -> CommandOutcome:
-    k = parse_class(_read(args.class_file))
+    k = _read_class(args.class_file)
     if args.teacher:
-        t = parse_teacher(_read(args.teacher))
-        if t.k.n != k.n or set(t.k.masks) != set(k.masks):
-            raise FormatError("teacher file does not cover exactly the concepts of the class file")
-        t = _align_teacher(k, t)
+        t = _align_teacher(k, _read_teacher(args.teacher, k))
     else:
         res = nctd(k, d_max=1, timeout=_default_timeout())
         if res.status != "exact":
@@ -288,9 +290,7 @@ def _cmd_tournament_recover(args) -> CommandOutcome:
         t = res.teacher
     g = recover_tournament(k, t)
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
-            "n": g.n, "edges": [[i, j] for i, j in g.edges()],
-        }))
+        return CommandOutcome(EXIT_OK, json.dumps(_tournament_json(g)))
     return CommandOutcome(EXIT_OK, serialize_tournament(g).rstrip("\n"))
 
 
@@ -311,7 +311,7 @@ def _cmd_johnson_hmax(args) -> CommandOutcome:
         if wrote:
             out["witness_file"] = wrote
         code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, _jdump(out))
+        return CommandOutcome(code, json.dumps(out))
     if res.status == "exact":
         lines = [f"H_{res.t}({res.n},{res.k}) = {res.size}"]
         if wrote:
@@ -329,16 +329,16 @@ def _cmd_johnson_hmax(args) -> CommandOutcome:
 def _cmd_bounds(args) -> CommandOutcome:
     rep = bound_report(args.n, args.d, args.t)
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
+        return CommandOutcome(EXIT_OK, json.dumps({
             "n": rep.n, "d": rep.d, "t": rep.t, "ksz": rep.ksz,
-            "gub": _frac(rep.gub), "factor": _jreal(rep.factor),
-            "h_used": _frac(rep.h_used), "h_kind": rep.h_kind,
+            "gub": str(rep.gub), "factor": _jreal(rep.factor),
+            "h_used": str(rep.h_used), "h_kind": rep.h_kind,
         }))
     if args.csv:
         header = "n,d,t,ksz,gub,factor,h_used,h_kind"
         t_field = "" if rep.t is None else str(rep.t)
-        row = (f"{rep.n},{rep.d},{t_field},{rep.ksz},{_frac(rep.gub)},"
-               f"{_real(rep.factor)},{_frac(rep.h_used)},{rep.h_kind}")
+        row = (f"{rep.n},{rep.d},{t_field},{rep.ksz},{rep.gub},"
+               f"{_real(rep.factor)},{rep.h_used},{rep.h_kind}")
         return CommandOutcome(EXIT_OK, header + "\n" + row)
     width = max(len(key) for key, _ in rep.rows())
     lines = [f"{key.ljust(width)} = {val}" for key, val in rep.rows()]
@@ -369,7 +369,7 @@ def _cmd_experiment_tdmin(args) -> CommandOutcome:
                "fraction_below": _jreal(summary.fraction_below)}
         if csv_path:
             out["csv"] = csv_path
-        return CommandOutcome(EXIT_OK, _jdump(out), csv_path)
+        return CommandOutcome(EXIT_OK, json.dumps(out), csv_path)
     hist = ", ".join(f"{v} x{c}" for v, c in summary.counts)
     lines = [
         f"n = {summary.n}, trials = {summary.trials}, seed = {summary.seed}",
@@ -393,7 +393,7 @@ def _cmd_experiment_claim(args) -> CommandOutcome:
     scan = claim_scan(args.scan_max)
     code = EXIT_OK if scan.n0 is not None and scan.cor_n0 is not None else EXIT_PROPERTY
     if args.json:
-        return CommandOutcome(code, _jdump({
+        return CommandOutcome(code, json.dumps({
             "limit": scan.limit, "n0": scan.n0, "cor_n0": scan.cor_n0,
             "records": [
                 {"n": r.n, "k": r.k, "ineq1": r.ineq1, "ineq2": r.ineq2,
@@ -419,7 +419,7 @@ def _cmd_experiment_claim(args) -> CommandOutcome:
 def _cmd_experiment_tau(args) -> CommandOutcome:
     rep = tau_estimate(args.n, args.trials, args.seed, k_override=args.k)
     if args.json:
-        return CommandOutcome(EXIT_OK, _jdump({
+        return CommandOutcome(EXIT_OK, json.dumps({
             "n": rep.n, "trials": rep.trials, "seed": rep.seed,
             "k": rep.k, "k_source": rep.k_source, "vacuous": rep.vacuous,
             "hits": rep.hits, "fraction": _jreal(rep.fraction),
@@ -439,7 +439,7 @@ def _cmd_verify_dim1(args) -> CommandOutcome:
     rep = verify_dim1(args.n, prefilter=args.prefilter)
     code = EXIT_OK if rep.ok else EXIT_PROPERTY
     if args.json:
-        return CommandOutcome(code, _jdump({
+        return CommandOutcome(code, json.dumps({
             "n": rep.n, "candidates": rep.candidates,
             "passing": len(rep.passing), "expected": len(rep.expected),
             "complement_closed": rep.complement_closed, "ok": rep.ok,
@@ -461,7 +461,7 @@ def _cmd_search_maxclass(args) -> CommandOutcome:
                "witnesses": [[c.to_string() for c in w.concepts]
                              for w in res.witnesses]}
         code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, _jdump(out))
+        return CommandOutcome(code, json.dumps(out))
     if res.status == "exact":
         lines = [f"M_NC({res.n},{res.d}) = {res.size}",
                  f"maximum classes up to relabeling: {len(res.witnesses)}"]
@@ -503,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "nctd", _cmd_nctd, "no-clash teaching dimension")
     p.add_argument("--class", dest="class_file", required=True, metavar="FILE")
     p.add_argument("--max-d", type=int, metavar="D")
-    p.add_argument("--timeout", type=float, metavar="SECS",
+    p.add_argument("--timeout", type=_budget_secs, metavar="SECS",
                    help=f"default from ${BUDGET_ENV}")
     p.add_argument("--emit-teacher", metavar="FILE")
 

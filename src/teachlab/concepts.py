@@ -68,15 +68,7 @@ class Concept:
     @classmethod
     def from_string(cls, text: str) -> Concept:
         """Parse a bitstring; character j (1-based, from the left) labels instance j."""
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise FormatError(f"invalid character {ch!r} in concept string")
-        if not text:
-            raise FormatError("empty concept string")
-        return cls(len(text), bits)
+        return cls(len(text), _decode_bits(text))
 
     def label(self, x: int) -> int:
         if not 1 <= x <= self.n:
@@ -162,6 +154,69 @@ def complement(c: Concept) -> Concept:
     return Concept(c.n, c.bits ^ ((1 << c.n) - 1))
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each line that is neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_header(lines: Iterator[tuple[int, str]], *keys: str) -> list[int]:
+    """Consume the header line ``k1=<int> k2=<int> ...``.
+
+    The first value is the domain size n >= 1; every later one lies in 0..n.
+    """
+    spec = " ".join(f"{key}=<int>" for key in keys)
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(f"missing {spec!r} header line")
+    lineno, line = first
+    parts = line.split()
+    if len(parts) != len(keys) or not all(p.startswith(f"{key}=") for p, key in zip(parts, keys)):
+        raise FormatError(f"line {lineno}: expected header {spec!r}")
+    try:
+        values = [int(p[len(key) + 1:]) for p, key in zip(parts, keys)]
+    except ValueError:
+        raise FormatError(f"line {lineno}: malformed header {line!r}") from None
+    n = values[0]
+    if n < 1 or not all(0 <= v <= n for v in values[1:]):
+        raise FormatError(f"line {lineno}: header {line!r} out of range")
+    return values
+
+
+def _decode_bits(text: str, n: int | None = None, where: str = "") -> int:
+    """Mask of a 0/1 string whose j-th character (1-based, from the left) labels instance j.
+
+    Character j is bit j-1, so the string is the mask's binary digits
+    least significant first.  With n given the string must have length n;
+    where prefixes every error message (a line reference).
+    """
+    if n is not None and len(text) != n:
+        raise FormatError(f"{where}expected {n} characters, got {len(text)}")
+    if not text:
+        raise FormatError(f"{where}empty concept string")
+    bad = text.lstrip("01")
+    if bad:
+        raise FormatError(f"{where}invalid character {bad[0]!r} in concept string")
+    return int(text[::-1], 2)
+
+
+def _parse_instances(text: str, n: int, where: str) -> frozenset[int]:
+    """Whitespace-separated instances, each an integer in 1..n, none repeated."""
+    try:
+        inst = [int(tok) for tok in text.split()]
+    except ValueError:
+        raise FormatError(f"{where}instances must be integers") from None
+    members = frozenset(inst)
+    if len(members) != len(inst):
+        raise FormatError(f"{where}repeated instance")
+    for x in inst:
+        if not 1 <= x <= n:
+            raise FormatError(f"{where}instance {x} outside domain 1..{n}")
+    return members
+
+
 def parse_class(text: str) -> ConceptClass:
     """Parse the class file format.
 
@@ -169,37 +224,16 @@ def parse_class(text: str) -> ConceptClass:
     line is a bitstring of length n whose j-th character (from the left)
     labels instance j.  Lines starting with ``#`` and blank lines are skipped.
     """
-    n: int | None = None
+    lines = _content_lines(text)
+    (n,) = _read_header(lines, "n")
     masks: list[int] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise FormatError(f"line {lineno}: expected 'n=<int>' header before concept lines")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 1:
-                raise FormatError(f"line {lineno}: domain size must be positive")
-            continue
-        if len(line) != n:
-            raise FormatError(f"line {lineno}: expected {n} characters, got {len(line)}")
-        bits = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise FormatError(f"line {lineno}: invalid character {ch!r} in concept line")
+    for lineno, line in lines:
+        bits = _decode_bits(line, n, f"line {lineno}: ")
         if bits in seen:
             raise FormatError(f"line {lineno}: duplicate concept {line!r}")
         seen.add(bits)
         masks.append(bits)
-    if n is None:
-        raise FormatError("missing 'n=<int>' header line")
     if not masks:
         raise FormatError("class file contains no concepts")
     return ConceptClass.from_masks(masks, n)

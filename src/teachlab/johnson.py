@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
-from .concepts import instances_to_mask, mask_to_instances
+from .concepts import _content_lines, _parse_instances, instances_to_mask, mask_to_instances
 from .errors import BudgetError, FormatError
 
 __all__ = [
@@ -210,6 +210,11 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
 
     counts = [0] * len(dsubs)
     best = lower0
+    # the greedy family is the first leaf of the include-first DFS, so it is
+    # the colex-least optimum whenever no later leaf improves on it; after an
+    # improvement the first leaf reaching the new size is the witness
+    witness = greedy
+    chosen: list[int] = []
     # every accepted k-set raises n-k of the D-counters, so the leftover
     # slack sum(t - counts) caps any extension at slack // (n - k)
     stride = n - k
@@ -218,7 +223,7 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:
         def grow(idx: int, cur: int) -> None:
-            nonlocal best, slack
+            nonlocal best, slack, witness
             room = nv - idx
             cap = slack // stride
             if cap < room:
@@ -227,6 +232,7 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
                 return
             if idx == nv:
                 best = cur
+                witness = list(chosen)
                 if best >= upper0:
                     raise _Stop
                 return
@@ -234,7 +240,9 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
                 for di in vds[idx]:
                     counts[di] += 1
                 slack -= stride
+                chosen.append(verts[idx])
                 grow(idx + 1, cur + 1)
+                chosen.pop()
                 for di in vds[idx]:
                     counts[di] -= 1
                 slack += stride
@@ -244,41 +252,8 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
             grow(0, 0)
         except _Stop:
             pass
-
-        counts = [0] * len(dsubs)
-        slack = t * len(dsubs)
-        chosen: list[int] = []
-        witness: list[int] | None = None
-
-        def extract(idx: int, cur: int) -> bool:
-            nonlocal witness, slack
-            if cur == best:
-                witness = list(chosen)
-                return True
-            room = nv - idx
-            cap = slack // stride
-            if cap < room:
-                room = cap
-            if cur + room < best:
-                return False
-            if all(counts[di] < t for di in vds[idx]):
-                for di in vds[idx]:
-                    counts[di] += 1
-                slack -= stride
-                chosen.append(verts[idx])
-                if extract(idx + 1, cur + 1):
-                    return True
-                chosen.pop()
-                for di in vds[idx]:
-                    counts[di] -= 1
-                slack += stride
-            return extract(idx + 1, cur)
-
-        extract(0, 0)
     finally:
         sys.setrecursionlimit(old_limit)
-    if witness is None:
-        raise AssertionError("witness extraction missed the optimum the search proved")
     fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in witness))
     return HMaxResult(n, k, t, "exact", best, fam, best, best)
 
@@ -328,29 +303,18 @@ def serialize_family(f: KSetFamily) -> str:
 
 def parse_family(text: str, n: int) -> KSetFamily:
     """Parse a witness family over [n]; k is taken from the first member line."""
-    members: list[frozenset[int]] = []
+    members: set[frozenset[int]] = set()
     k: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            inst = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"line {lineno}: instances must be integers") from None
-        if len(set(inst)) != len(inst):
-            raise FormatError(f"line {lineno}: repeated instance in member")
-        for x in inst:
-            if not 1 <= x <= n:
-                raise FormatError(f"line {lineno}: instance {x} outside domain 1..{n}")
+    for lineno, line in _content_lines(text):
+        where = f"line {lineno}: "
+        member = _parse_instances(line, n, where)
         if k is None:
-            k = len(inst)
-        elif len(inst) != k:
-            raise FormatError(f"line {lineno}: member size {len(inst)} differs from {k}")
-        member = frozenset(inst)
+            k = len(member)
+        elif len(member) != k:
+            raise FormatError(f"{where}member size {len(member)} differs from {k}")
         if member in members:
-            raise FormatError(f"line {lineno}: duplicate member")
-        members.append(member)
+            raise FormatError(f"{where}duplicate member")
+        members.add(member)
     if k is None:
         raise FormatError("witness file lists no members")
     return KSetFamily(n, k, frozenset(members))

@@ -19,7 +19,17 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .concepts import Concept, ConceptClass, agrees_on, instances_to_mask, mask_to_instances
+from .concepts import (
+    Concept,
+    ConceptClass,
+    _content_lines,
+    _decode_bits,
+    _parse_instances,
+    _read_header,
+    agrees_on,
+    instances_to_mask,
+    mask_to_instances,
+)
 from .errors import FormatError
 
 __all__ = [
@@ -71,16 +81,21 @@ def clash(c: Concept, c2: Concept, s: Iterable[int], s2: Iterable[int]) -> bool:
     return agrees_on(c, c2, set(s) | set(s2))
 
 
-def is_nc_teacher(t: NCTeacher) -> bool:
-    """True iff no pair of concepts clashes under t."""
+def _first_clash(t: NCTeacher) -> tuple[int, int] | None:
+    """The first clashing concept-index pair (i, j), i < j, in lexicographic order, or None."""
     masks = t.k.masks
     smasks = t.set_masks()
     m = len(masks)
     for i in range(m):
         for j in range(i + 1, m):
             if (masks[i] ^ masks[j]) & (smasks[i] | smasks[j]) == 0:
-                return False
-    return True
+                return i, j
+    return None
+
+
+def is_nc_teacher(t: NCTeacher) -> bool:
+    """True iff no pair of concepts clashes under t."""
+    return _first_clash(t) is None
 
 
 def normalize_teacher(t: NCTeacher, d: int) -> NCTeacher:
@@ -302,51 +317,20 @@ def serialize_teacher(t: NCTeacher) -> str:
 
 def parse_teacher(text: str) -> NCTeacher:
     """Parse the teacher file format written by serialize_teacher."""
-    n: int | None = None
-    d: int | None = None
+    lines = _content_lines(text)
+    n, d = _read_header(lines, "n", "d")
     masks: list[int] = []
     sets: list[frozenset[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            parts = line.split()
-            if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("d="):
-                raise FormatError(f"line {lineno}: expected header 'n=<int> d=<int>'")
-            try:
-                n = int(parts[0][2:])
-                d = int(parts[1][2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 1 or d < 0 or d > n:
-                raise FormatError(f"line {lineno}: header out of range")
-            continue
+    for lineno, line in lines:
+        where = f"line {lineno}: "
         if ":" not in line:
-            raise FormatError(f"line {lineno}: expected '<bits> : <instances>'")
+            raise FormatError(f"{where}expected '<bits> : <instances>'")
         left, _, right = line.partition(":")
-        bitstr = left.strip()
-        if len(bitstr) != n or any(ch not in "01" for ch in bitstr):
-            raise FormatError(f"line {lineno}: bad concept string {bitstr!r}")
-        bits = 0
-        for j, ch in enumerate(bitstr):
-            if ch == "1":
-                bits |= 1 << j
-        try:
-            inst = [int(tok) for tok in right.split()]
-        except ValueError:
-            raise FormatError(f"line {lineno}: instances must be integers") from None
-        if len(set(inst)) != len(inst):
-            raise FormatError(f"line {lineno}: repeated instance in teaching set")
+        masks.append(_decode_bits(left.strip(), n, where))
+        inst = _parse_instances(right, n, where)
         if len(inst) > d:
-            raise FormatError(f"line {lineno}: teaching set larger than declared order {d}")
-        for x in inst:
-            if not 1 <= x <= n:
-                raise FormatError(f"line {lineno}: instance {x} outside domain 1..{n}")
-        masks.append(bits)
-        sets.append(frozenset(inst))
-    if n is None:
-        raise FormatError("missing 'n=<int> d=<int>' header line")
+            raise FormatError(f"{where}teaching set larger than declared order {d}")
+        sets.append(inst)
     if not masks:
         raise FormatError("teacher file assigns no sets")
     try:

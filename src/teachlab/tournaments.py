@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .concepts import ConceptClass
+from .concepts import ConceptClass, _content_lines, _read_header
 from .errors import FormatError, PropertyViolation
 from .ncteach import NCTeacher, is_nc_teacher
 from .rng import stream_bit
@@ -184,23 +184,11 @@ def serialize_tournament(g: Tournament) -> str:
 
 def parse_tournament(text: str) -> Tournament:
     """Parse the tournament file format: exactly C(n,2) directed edges, one per pair."""
-    n: int | None = None
+    lines = _content_lines(text)
+    (n,) = _read_header(lines, "n")
     bits = 0
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise FormatError(f"line {lineno}: expected 'n=<int>' header before edge lines")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 1:
-                raise FormatError(f"line {lineno}: need at least one player")
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'i j'")
@@ -217,8 +205,6 @@ def parse_tournament(text: str) -> Tournament:
         seen.add(r)
         if a < b:
             bits |= 1 << r
-    if n is None:
-        raise FormatError("missing 'n=<int>' header line")
     if len(seen) != comb(n, 2):
         raise FormatError(f"expected {comb(n, 2)} edges, got {len(seen)}")
     return Tournament(n, bits)

@@ -90,6 +90,39 @@ def brute_h_max(n: int, k: int, t: int) -> int:
     return best
 
 
+def brute_h_witness(n: int, k: int, t: int) -> tuple[int, ...]:
+    """First largest family, in itertools.combinations order over the ascending k-set masks.
+
+    That is the first size-brute_h_max combination with at most t members
+    inside every (k+1)-set.  The scan walks combinations in that order and
+    skips every combination extending an invalid prefix: a (k+1)-set over
+    its limit stays over it as members are added.
+    """
+    verts = sorted(sum(1 << (x - 1) for x in c) for c in itertools.combinations(range(1, n + 1), k))
+    dsets = [sum(1 << (x - 1) for x in c) for c in itertools.combinations(range(1, n + 1), k + 1)]
+
+    def valid(fam: list[int]) -> bool:
+        return all(sum(1 for a in fam if a & d == a) <= t for d in dsets)
+
+    def first(prefix: list[int], start: int, r: int) -> tuple[int, ...] | None:
+        if len(prefix) == r:
+            return tuple(prefix)
+        for i in range(start, len(verts) - (r - len(prefix)) + 1):
+            prefix.append(verts[i])
+            if valid(prefix):
+                found = first(prefix, i + 1, r)
+                if found is not None:
+                    return found
+            prefix.pop()
+        return None
+
+    for r in range(len(verts), 0, -1):
+        found = first([], 0, r)
+        if found is not None:
+            return found
+    raise AssertionError("a single k-set is always a valid family")
+
+
 def binomial_tail(p: Fraction, m: int, threshold: Fraction) -> Fraction:
     """P(Bin(m, p) >= threshold), exactly."""
     total = Fraction(0)

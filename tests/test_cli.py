@@ -118,6 +118,19 @@ def test_verify_teacher_reports_clash(half3, tmp_path):
     assert outcome.text == "clash: concepts 100 and 110 agree on {1, 3}"
 
 
+def test_verify_teacher_reports_first_clash_in_pair_order(half3, tmp_path):
+    # pairs (0, 3) and (1, 2) both clash; (0, 3) comes first in i < j order
+    teacher = tmp_path / "clash.nct"
+    teacher.write_text(
+        "n=3 d=1\n000 :\n100 : 1\n110 : 1\n111 :\n011 : 1\n001 : 3\n",
+        encoding="ascii",
+    )
+    outcome = dispatch(["verify-teacher", "--class", str(half3), "--teacher", str(teacher),
+                        "--json"])
+    assert outcome.code == EXIT_PROPERTY
+    assert json.loads(outcome.text)["clash"] == ["000", "111"]
+
+
 def test_verify_teacher_wrong_class_is_input_error(half3, tmp_path):
     teacher = tmp_path / "t.nct"
     teacher.write_text("n=3 d=1\n000 : 1\n100 : 2\n", encoding="ascii")
@@ -312,6 +325,24 @@ def test_budget_env_sets_default_timeout(half3, monkeypatch):
     outcome = dispatch(["nctd", "--class", str(half3)])
     assert outcome.code == EXIT_INPUT
     assert BUDGET_ENV in outcome.text
+
+
+@pytest.mark.parametrize("raw", ["nan", "-1", "seconds"])
+def test_timeout_flag_rejects_nan_negative_and_text(half3, raw):
+    # NaN would pass every "monotonic() > deadline" check and disable the budget
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["nctd", "--class", str(half3), "--timeout", raw])
+    assert exc.value.code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "-0.5"])
+def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
+    monkeypatch.setenv(BUDGET_ENV, raw)
+    for argv in (["nctd", "--class", str(half3)],
+                 ["tournament", "recover", "--class", str(half3), "--find-teacher"]):
+        outcome = dispatch(argv)
+        assert outcome.code == EXIT_INPUT
+        assert BUDGET_ENV in outcome.text
 
 
 def test_console_entry_point_runs():

@@ -14,6 +14,9 @@ from teachlab import (
     instances_to_mask,
     mask_to_instances,
     parse_class,
+    parse_family,
+    parse_teacher,
+    parse_tournament,
     serialize_class,
 )
 
@@ -113,6 +116,51 @@ def test_parse_class_skips_comments_and_blank_lines():
 def test_parse_class_rejects(text):
     with pytest.raises(FormatError):
         parse_class(text)
+
+
+def _family_over_4(text):
+    return parse_family(text, 4)
+
+
+# every malformed input of the per-codec rejection tests, with the line its
+# error names; "" marks an error about the whole file
+@pytest.mark.parametrize("parse, text, where", [
+    (parse_class, "00\n10\n", "line 1:"),
+    (parse_class, "n=2\n00\n001\n", "line 3:"),
+    (parse_class, "n=2\n00\n0x\n", "line 3:"),
+    (parse_class, "n=2\n01\n01\n", "line 3:"),
+    (parse_class, "n=0\n", "line 1:"),
+    (parse_class, "n=2\n", ""),
+    (parse_teacher, "", ""),
+    (parse_teacher, "n=3\n000 :\n", "line 1:"),
+    (parse_teacher, "n=3 d=1\n000 : 4\n", "line 2:"),
+    (parse_teacher, "n=3 d=1\n00 : 1\n", "line 2:"),
+    (parse_teacher, "n=3 d=1\n000 : 1\n000 : 2\n", ""),
+    (parse_teacher, "n=3 d=1\n000 1\n", "line 2:"),
+    (parse_tournament, "1 2\n", "line 1:"),
+    (parse_tournament, "n=3\n1 2\n1 3\n", ""),
+    (parse_tournament, "n=3\n1 2\n2 1\n1 3\n2 3\n", "line 3:"),
+    (parse_tournament, "n=3\n1 2\n1 3\n2 3\n2 3\n", "line 5:"),
+    (parse_tournament, "n=3\n1 2\n1 3\n3 4\n", "line 4:"),
+    (parse_tournament, "n=3\n1 1\n1 3\n2 3\n", "line 2:"),
+    (parse_tournament, "n=0\n", "line 1:"),
+    (_family_over_4, "1 2\n1\n", "line 2:"),
+    (_family_over_4, "1 1\n", "line 1:"),
+    (_family_over_4, "1 9\n", "line 1:"),
+    (_family_over_4, "1 2\n1 2\n", "line 2:"),
+    (_family_over_4, "a b\n", "line 1:"),
+    (_family_over_4, "", ""),
+    (Concept.from_string, "10x", ""),
+    (Concept.from_string, "", ""),
+])
+def test_codec_errors_name_the_offending_line(parse, text, where):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    message = str(exc.value)
+    if where:
+        assert message.startswith(where + " "), message
+    else:
+        assert not message.startswith("line "), message
 
 
 @given(st.integers(1, 8).flatmap(

@@ -30,7 +30,7 @@ from teachlab import (
     serialize_family,
 )
 
-from oracles import brute_h_max
+from oracles import brute_h_max, brute_h_witness
 
 # the hard instances near n=7 take seconds each; share them across tests
 _h_max = functools.lru_cache(maxsize=None)(h_max)
@@ -153,6 +153,19 @@ def test_h_max_counting_upper_bound():
 def test_h_max_witness_is_colex_least_for_smallest_case():
     res = h_max(3, 2, 2)
     assert res.witness.members == frozenset({frozenset({1, 2}), frozenset({1, 3})})
+
+
+def test_h_max_witness_is_the_first_largest_combination():
+    # every (n, k, t) with C(n, k) <= 20 up to n = 12; past that only the
+    # rows k = 1 and k = n-1 qualify, whose witness is the first t k-sets,
+    # and the oracle's scan of the row k = n-1 grows like 2^n
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            if comb(n, k) > 20:
+                continue
+            for t in range(1, k + 1):
+                res = h_max(n, k, t)
+                assert tuple(res.witness.member_masks()) == brute_h_witness(n, k, t), (n, k, t)
 
 
 def test_h_ratio_values_and_monotonicity():
