@@ -13,6 +13,7 @@ from teachlab import (
     ConceptClass,
     clash,
     class2,
+    decide_order,
     is_nc_teacher,
     linear_tournament,
     nctd,
@@ -57,12 +58,18 @@ print(f"  {'class':<28} {'|k|':>4} {'bound':>6} {'nctd':>5}")
 for masks, n, label in [
     (range(16), 4, "power set over [4]"),
     (range(24), 5, "24 smallest masks over [5]"),
+    (range(32), 5, "power set over [5]"),
     (list(class2(linear_tournament(4)).masks), 4, "half-intervals over [4]"),
 ]:
     kk = ConceptClass.from_masks(masks, n)
     lb = nctd_lower_bound(kk)
     r = nctd(kk)
     print(f"  {label:<28} {len(kk):>4} {lb:>6} {r.d:>5}")
+print("  the power set over [5] clears the bar at d = 2 (40 >= 32), but the")
+print("  concepts whose 2-sets fit in one 3-set must differ on it, so a 3-set")
+print("  holds at most 8 of them.  Each 2-set lies in three 3-sets: 32 * 3 = 96")
+print("  places are needed and the ten 3-sets offer 10 * 8 = 80, so the solver")
+print(f"  refutes order 2 without searching: decide_order -> {decide_order(range(32), 5, 2)}")
 
 print()
 print("=" * 64)

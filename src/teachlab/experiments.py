@@ -333,8 +333,8 @@ def verify_dim1(n: int, prefilter: bool = False) -> Dim1Report:
     ones against the tournament-induced classes.
 
     prefilter skips classes not closed under complementation (a necessary
-    condition); the default decides every class, which is slower and
-    assumption-free.
+    condition) and decides 70 classes at n = 4; the default assumes nothing
+    and decides all 12,870, in about 0.8 s against 0.03 s.
     """
     if not 1 <= n <= 4:
         raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")

@@ -4,11 +4,15 @@ A teacher assigns each concept an instance set; two concepts clash when
 they agree everywhere on the union of their assigned sets, and a teacher is
 admissible when no pair clashes.  NCTD(k) is computed by deciding, for
 d = counting lower bound, d+1, ..., whether an admissible assignment of
-d-subsets exists.  The decision procedure is backtracking over concepts
-with forward checking: each concept's surviving candidates are a bitmask
-over the lexicographic list of d-subsets, the concept with the fewest
-survivors is assigned next (ties by concept order), and candidates are
-tried in lexicographic order, so the first witness found is deterministic.
+d-subsets exists.  The decision procedure first tries a greedy order-1
+assignment, then a trace count that can refute order d outright: the
+concepts whose sets lie inside one (d+1)-set D take distinct traces on D,
+so the distinct traces summed over all D must cover every concept n-d
+times.  Otherwise it backtracks over concepts with forward checking, on an
+explicit stack: each concept's surviving candidates are a bitmask over the
+lexicographic list of d-subsets, the concept with the fewest survivors is
+assigned next (ties by concept order), and candidates are tried in
+lexicographic order, so the first witness found is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .concepts import (
     Concept,
@@ -129,12 +133,9 @@ def nctd_lower_bound(k: ConceptClass) -> int:
     raise AssertionError("2^n always covers a duplicate-free class")
 
 
-class _Timeout(Exception):
-    pass
-
-
-def _candidate_masks(n: int, d: int) -> list[int]:
-    return [instances_to_mask(c, n) for c in itertools.combinations(range(1, n + 1), d)]
+def _subset_masks(n: int, size: int) -> Iterator[int]:
+    """Masks of the size-subsets of [n], in lexicographic order."""
+    return map(sum, itertools.combinations([1 << x for x in range(n)], size))
 
 
 def _greedy_order1(diff: list[list[int]], m: int, n: int) -> list[int] | None:
@@ -167,13 +168,16 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
 
     Returns None when no admissible assignment of d-subsets exists.  Raises
     TimeoutError when the monotonic-clock deadline passes mid-search.
+
+    Before searching, a trace count may refute order d.  Two concepts whose
+    d-sets S, S' lie inside one (d+1)-set D differ on S | S', which is S or
+    D, so D holds at most |{c & D}| of them.  Each d-set lies in n-d of the
+    D, so an admissible teacher needs the sum of |{c & D}| over all D to
+    reach |masks| * (n-d).
     """
     m = len(masks)
     if m == 0:
         return []
-    cands = _candidate_masks(n, d)
-    ncand = len(cands)
-    fullc = (1 << ncand) - 1
     diff = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -183,6 +187,20 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
         sol = _greedy_order1(diff, m, n)
         if sol is not None:
             return sol
+
+    if 0 < d < n and m > 1:
+        need = m * (n - d)
+        room = 0
+        for dmask in _subset_masks(n, d + 1):
+            room += len({c & dmask for c in masks})
+            if room >= need:
+                break
+        else:
+            return None
+
+    cands = list(_subset_masks(n, d))
+    ncand = len(cands)
+    fullc = (1 << ncand) - 1
 
     if d == 1:
         # candidate index x-1 is the singleton {x}, so candidate masks align with instance masks
@@ -212,10 +230,9 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
 
     domains = [fullc] * m
     assigned = [-1] * m
-    nodes = 0
 
-    def search() -> bool:
-        nonlocal nodes
+    def most_constrained() -> int:
+        """The unassigned concept with the fewest surviving candidates (first on ties), or -1."""
         pick = -1
         pick_count = ncand + 1
         for i in range(m):
@@ -224,48 +241,52 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
                 if c < pick_count:
                     pick_count = c
                     pick = i
-        if pick < 0:
-            return True
-        avail = domains[pick]
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            nodes += 1
-            if deadline is not None and nodes & 1023 == 0 and time.monotonic() > deadline:
-                raise _Timeout
-            ci = low.bit_length() - 1
-            smask = cands[ci]
-            assigned[pick] = ci
-            trail: list[tuple[int, int]] = []
-            ok = True
-            for j in range(m):
-                if assigned[j] >= 0:
-                    continue
-                dm = diff[pick][j]
-                if smask & dm:
-                    continue
-                old = domains[j]
-                new = old & allowed(dm)
-                if new != old:
-                    trail.append((j, old))
-                    domains[j] = new
-                    if new == 0:
-                        ok = False
-                        break
-            if ok and search():
-                return True
-            for j, old in trail:
-                domains[j] = old
-            assigned[pick] = -1
-        return False
+        return pick
 
-    try:
-        found = search()
-    except _Timeout:
-        raise TimeoutError(f"order-{d} teacher search hit its deadline") from None
-    if not found:
-        return None
-    return [cands[assigned[i]] for i in range(m)]
+    # one frame per assigned concept: [concept, untried candidates, undo trail of the tried one]
+    first = most_constrained()
+    stack = [[first, domains[first], []]]
+    nodes = 0
+    while stack:
+        frame = stack[-1]
+        pick, avail, trail = frame
+        for j, old in trail:
+            domains[j] = old
+        assigned[pick] = -1
+        if not avail:
+            stack.pop()
+            continue
+        low = avail & -avail
+        frame[1] = avail ^ low
+        nodes += 1
+        if deadline is not None and nodes & 1023 == 0 and time.monotonic() > deadline:
+            raise TimeoutError(f"order-{d} teacher search hit its deadline")
+        ci = low.bit_length() - 1
+        smask = cands[ci]
+        assigned[pick] = ci
+        trail = frame[2] = []
+        dp = diff[pick]
+        ok = True
+        for j in range(m):
+            if assigned[j] >= 0:
+                continue
+            dm = dp[j]
+            if smask & dm:
+                continue
+            old = domains[j]
+            new = old & allowed(dm)
+            if new != old:
+                trail.append((j, old))
+                domains[j] = new
+                if new == 0:
+                    ok = False
+                    break
+        if ok:
+            nxt = most_constrained()
+            if nxt < 0:
+                return [cands[a] for a in assigned]
+            stack.append([nxt, domains[nxt], []])
+    return None
 
 
 @dataclass(frozen=True)
@@ -320,21 +341,23 @@ def parse_teacher(text: str) -> NCTeacher:
     lines = _content_lines(text)
     n, d = _read_header(lines, "n", "d")
     masks: list[int] = []
+    seen: set[int] = set()
     sets: list[frozenset[int]] = []
     for lineno, line in lines:
         where = f"line {lineno}: "
         if ":" not in line:
             raise FormatError(f"{where}expected '<bits> : <instances>'")
         left, _, right = line.partition(":")
-        masks.append(_decode_bits(left.strip(), n, where))
+        text_bits = left.strip()
+        bits = _decode_bits(text_bits, n, where)
+        if bits in seen:
+            raise FormatError(f"{where}duplicate concept {text_bits!r}")
+        seen.add(bits)
+        masks.append(bits)
         inst = _parse_instances(right, n, where)
         if len(inst) > d:
             raise FormatError(f"{where}teaching set larger than declared order {d}")
         sets.append(inst)
     if not masks:
         raise FormatError("teacher file assigns no sets")
-    try:
-        k = ConceptClass.from_masks(masks, n)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    return NCTeacher(k, tuple(sets))
+    return NCTeacher(ConceptClass.from_masks(masks, n), tuple(sets))

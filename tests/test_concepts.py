@@ -135,7 +135,7 @@ def _family_over_4(text):
     (parse_teacher, "n=3\n000 :\n", "line 1:"),
     (parse_teacher, "n=3 d=1\n000 : 4\n", "line 2:"),
     (parse_teacher, "n=3 d=1\n00 : 1\n", "line 2:"),
-    (parse_teacher, "n=3 d=1\n000 : 1\n000 : 2\n", ""),
+    (parse_teacher, "n=3 d=1\n000 : 1\n000 : 2\n", "line 3:"),
     (parse_teacher, "n=3 d=1\n000 1\n", "line 2:"),
     (parse_tournament, "1 2\n", "line 1:"),
     (parse_tournament, "n=3\n1 2\n1 3\n", ""),

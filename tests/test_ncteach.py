@@ -5,6 +5,7 @@ their assigned sets; a teacher is admissible when no pair clashes.  The
 dimension NCTD(k) is the least order any admissible teacher can have.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,8 +19,11 @@ from teachlab import (
     NCTeacher,
     clash,
     class2,
+    decide_order,
+    instances_to_mask,
     is_nc_teacher,
     linear_tournament,
+    mask_to_instances,
     nctd,
     nctd_lower_bound,
     normalize_teacher,
@@ -145,6 +149,59 @@ def test_nctd_at_most_two_power_d_concepts_share_a_set():
             by_set[s] = by_set.get(s, 0) + 1
         # concepts sharing a set must pairwise differ on it
         assert all(v <= 2 ** res.d for v in by_set.values())
+
+
+def test_concepts_whose_sets_fit_in_a_d_plus_1_set_differ_on_it():
+    # the lemma behind decide_order's trace count, checked on solved teachers
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        size = rng.randint(1, min(24, 1 << n))
+        k = ConceptClass.from_masks(rng.sample(range(1 << n), size), n)
+        res = nctd(k)
+        smasks = normalize_teacher(res.teacher, res.d).set_masks()
+        for dset in itertools.combinations(range(1, n + 1), res.d + 1):
+            dmask = instances_to_mask(dset, n)
+            traces = [c & dmask for c, s in zip(k.masks, smasks) if s & ~dmask == 0]
+            assert len(set(traces)) == len(traces)
+
+
+def test_decide_order_refutes_exactly_above_brute_force_nctd():
+    rng = random.Random(20261018)
+    fired = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        size = rng.randint(1, min(10, 1 << n))
+        masks = rng.sample(range(1 << n), size)
+        least = brute_nctd(masks, n)
+        for d in range(n + 1):
+            assert (decide_order(masks, n, d) is None) == (least > d)
+            if 0 < d < n and size > 1:
+                room = sum(len({c & instances_to_mask(dset, n) for c in masks})
+                           for dset in itertools.combinations(range(1, n + 1), d + 1))
+                fired += room < size * (n - d)
+    # the trace count alone refutes some of these orders
+    assert fired > 0
+
+
+def test_power_set_over_5_is_refuted_at_order_2_by_counting_traces():
+    # the size bound 2^2 * C(5, 2) = 40 >= 32 lets order 2 through
+    assert decide_order(range(32), 5, 2) is None
+    res = nctd(ConceptClass.from_masks(range(32), 5))
+    assert (res.status, res.d, res.lower_bound) == ("exact", 3, 3)
+    assert is_nc_teacher(res.teacher)
+    # the search's first witness: fewest survivors first, ties by concept
+    # order, candidates in lexicographic order
+    assert res.teacher.set_masks() == (
+        7, 7, 13, 25, 11, 11, 19, 21, 11, 13, 21, 7, 7, 19, 25, 25,
+        19, 21, 25, 11, 21, 25, 7, 7, 25, 25, 7, 19, 28, 7, 11, 13)
+
+
+def test_decide_order_stack_depth_does_not_grow_with_class_size():
+    masks = random.Random(1500).sample(range(1 << 11), 1500)
+    sol = decide_order(masks, 11, 11)
+    k = ConceptClass.from_masks(masks, 11)
+    assert is_nc_teacher(NCTeacher(k, tuple(mask_to_instances(s) for s in sol)))
 
 
 def _permute_mask(mask: int, perm: list[int], n: int) -> int:
