@@ -64,20 +64,22 @@ def default_t(d: int) -> int:
     return isqrt(2 * (d + 1))
 
 
-def resolve_h(n: int, d: int, t: int, exact_limit: int = 24) -> tuple[Fraction, str]:
+_EXACT_H_LIMIT = 24  # largest C(n, d) for which resolve_h solves H_t(n, d)
+
+
+def resolve_h(n: int, d: int, t: int) -> tuple[Fraction, str]:
     """An upper bound on h_t(n, d) with provenance "exact" or "upper-bound".
 
-    Solves H_t(n, d) exactly when C(n, d) <= exact_limit; otherwise falls
-    back to the chain bound t/(d+1), valid for n >= d+1 (at n = d the exact
-    branch always applies since C(d, d) = 1).
+    Solves H_t(n, d) exactly when C(n, d) <= _EXACT_H_LIMIT (24); otherwise
+    falls back to the chain bound t/(d+1), valid for n >= d+1 (at n = d the
+    exact branch always applies since C(d, d) = 1).
     """
-    if comb(n, d) <= exact_limit:
+    if comb(n, d) <= _EXACT_H_LIMIT:
         return h_ratio(n, d, t), "exact"
     return Fraction(t, d + 1), "upper-bound"
 
 
-def gub_bound(n: int, d: int, t: int, h: Fraction | str = "auto",
-              exact_limit: int = 24) -> Fraction:
+def gub_bound(n: int, d: int, t: int, h: Fraction | str = "auto") -> Fraction:
     """(h + (1-h) * 2/(t+1)) * 2^d * C(n, d), exactly.
 
     h is an upper bound on the heavy-set density h_t(n, d); "auto" resolves
@@ -86,7 +88,7 @@ def gub_bound(n: int, d: int, t: int, h: Fraction | str = "auto",
     if not 2 <= t <= d <= n:
         raise ValueError(f"need 2 <= t <= d <= n, got t={t}, d={d}, n={n}")
     if h == "auto":
-        hv, _ = resolve_h(n, d, t, exact_limit)
+        hv, _ = resolve_h(n, d, t)
     else:
         hv = Fraction(h)
         if not 0 <= hv <= 1:
@@ -154,7 +156,7 @@ class BoundReport:
         ]
 
 
-def bound_report(n: int, d: int, t: int | None = None, exact_limit: int = 24) -> BoundReport:
+def bound_report(n: int, d: int, t: int | None = None) -> BoundReport:
     """Assemble the bound family for one (n, d); t defaults to the optimizing value.
 
     At d = 1 the refinement does not apply (no valid t), so gub degenerates
@@ -168,6 +170,6 @@ def bound_report(n: int, d: int, t: int | None = None, exact_limit: int = 24) ->
                            Fraction(1), "upper-bound")
     if t is None:
         t = default_t(d)
-    h_used, h_kind = resolve_h(n, d, t, exact_limit)
+    h_used, h_kind = resolve_h(n, d, t)
     gub = gub_bound(n, d, t, h_used)
     return BoundReport(n, d, t, ksz, gub, improved_factor(d), h_used, h_kind)

@@ -6,8 +6,9 @@ concepts at once by splitting cells of agreeing concepts (see _easiest).
 td_of, td_max and teaching_report need each concept's own minimum and its
 lexicographically least witness: a minimum hitting set of the difference
 masks, by branching on the smallest uncovered mask with a greedy
-disjoint-packing lower bound.  rtd_bruteforce uses that kernel too, so it
-stays a reference independent of rtd.
+disjoint-packing lower bound, on an explicit stack (see _hit_decision).
+rtd_bruteforce uses that kernel too, so it stays a reference independent of
+rtd.
 """
 
 from __future__ import annotations
@@ -35,37 +36,54 @@ def _diff_masks(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
 
 
 def _hit_decision(masks: list[int], budget: int, allowed: int) -> bool:
-    """Can at most `budget` instances drawn from `allowed` hit every mask?"""
-    if not masks:
-        return True
-    if budget <= 0:
-        return False
-    # most constrained mask, plus a greedy disjoint-packing lower bound
-    best_count = -1
-    best_bits = 0
-    packed = 0
-    packing = 0
-    for m in masks:
-        mb = m & allowed
-        if mb == 0:
-            return False
-        c = mb.bit_count()
-        if best_count < 0 or c < best_count:
-            best_count = c
-            best_bits = mb
-        if mb & packed == 0:
-            packed |= mb
-            packing += 1
-            if packing > budget:
-                return False
-    bits = best_bits
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        rest = [m for m in masks if m & low == 0]
-        if _hit_decision(rest, budget - 1, allowed):
+    """Can at most `budget` instances drawn from `allowed` hit every mask?
+
+    Branches on the instances of the most constrained mask, pruned by a
+    greedy disjoint-packing lower bound.  A node descends straight into its
+    first instance and stacks a [masks, budget, untried instances] frame; a
+    failed node resumes the top frame, which is popped when its last
+    instance is taken.
+    """
+    stack: list[list] = []
+    while True:
+        if not masks:
             return True
-    return False
+        bits = 0
+        if budget > 0:
+            best_count = packed = packing = 0
+            for m in masks:
+                mb = m & allowed
+                if mb == 0:
+                    bits = 0
+                    break
+                c = mb.bit_count()
+                if not bits or c < best_count:
+                    best_count = c
+                    bits = mb
+                if mb & packed == 0:
+                    packed |= mb
+                    packing += 1
+                    if packing > budget:
+                        bits = 0
+                        break
+        if bits:
+            low = bits & -bits
+            bits ^= low
+            if bits:
+                stack.append([masks, budget, bits])
+        elif stack:
+            frame = stack[-1]
+            masks, budget, bits = frame
+            low = bits & -bits
+            bits ^= low
+            if bits:
+                frame[2] = bits
+            else:
+                stack.pop()
+        else:
+            return False
+        masks = [m for m in masks if m & low == 0]
+        budget -= 1
 
 
 def _min_hit_size(masks: list[int], n: int) -> int:
@@ -97,9 +115,7 @@ def _lex_min_witness(masks: list[int], size: int, n: int) -> int:
 
 
 def _sorted_diffs(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
-    diffs = _diff_masks(masks, i)
-    diffs.sort(key=int.bit_count)
-    return diffs
+    return sorted(_diff_masks(masks, i), key=int.bit_count)
 
 
 def _easiest(k: ConceptClass, live: int, first: bool) -> tuple[int, int]:
@@ -217,18 +233,18 @@ def rtd(k: ConceptClass) -> int:
     return best
 
 
-def rtd_bruteforce(k: ConceptClass, cap: int = 14) -> int:
+def rtd_bruteforce(k: ConceptClass) -> int:
     """max over all nonempty subclasses of td_min, by direct enumeration.
 
-    Exponential in |k|; refuses classes larger than cap.  Subclasses whose
-    td_min provably cannot exceed the running maximum are skipped with a
-    single decision call, which leaves the returned maximum exact.
+    Exponential in |k|; refuses classes of more than 14 concepts.  Subclasses
+    whose td_min provably cannot exceed the running maximum are skipped with
+    a single decision call, which leaves the returned maximum exact.
     """
     m = len(k)
     if m == 0:
         raise ValueError("rtd of an empty class")
-    if m > cap:
-        raise BudgetError(f"brute force enumerates 2^{m} subclasses; cap is {cap}")
+    if m > 14:
+        raise BudgetError(f"brute force enumerates 2^{m} subclasses; cap is 14")
     masks = k.masks
     n = k.n
     full = (1 << n) - 1

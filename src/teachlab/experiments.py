@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import ksz_bound
-from .classical import rtd, td_min
+from .classical import td_min
 from .concepts import ConceptClass, instances_to_mask
 from .errors import BudgetError
 from .ncteach import decide_order, nctd
@@ -174,16 +174,16 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
     return ClaimScan(limit, records, n0, cor_n0)
 
 
+_TDMIN_MAX_N = 128  # td_min budget of run_tdmin_experiment and tau_estimate
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters for the random-tournament td_min experiment."""
+    """Tournament size n (2.._TDMIN_MAX_N), trial count and master seed of the td_min experiment."""
 
     n: int
     trials: int
     seed: int
-    k_override: int | None = None
-    include_rtd_up_to: int = 0
-    max_n: int = 128
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -198,7 +198,6 @@ class TrialRecord:
     seed: int
     td_min: int
     nctd: int
-    rtd: int | None = None
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,8 @@ class TdminSummary:
     fraction_below: float
 
 
-def _trial_record(args: tuple[int, int, int, bool]) -> TrialRecord:
-    n, master_seed, trial, with_rtd = args
+def _trial_record(args: tuple[int, int, int]) -> TrialRecord:
+    n, master_seed, trial = args
     trial_seed = stream(master_seed, trial)
     g = random_tournament(n, trial_seed)
     k1 = class1(g)
@@ -223,8 +222,7 @@ def _trial_record(args: tuple[int, int, int, bool]) -> TrialRecord:
     nc = nctd(k1).d
     if nc is None:
         raise AssertionError("nctd without d_max or timeout ended without a value")
-    r = rtd(k1) if with_rtd else None
-    return TrialRecord(trial, trial_seed, td, nc, r)
+    return TrialRecord(trial, trial_seed, td, nc)
 
 
 def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[TrialRecord, ...], TdminSummary]:
@@ -233,10 +231,9 @@ def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[Tr
     Deterministic for a given config; records come back ordered by trial
     index whatever the job count.
     """
-    if cfg.n > cfg.max_n:
-        raise BudgetError(f"exact td_min budget is n <= {cfg.max_n}, got n={cfg.n}")
-    with_rtd = cfg.n <= cfg.include_rtd_up_to
-    args = [(cfg.n, cfg.seed, i, with_rtd) for i in range(cfg.trials)]
+    if cfg.n > _TDMIN_MAX_N:
+        raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={cfg.n}")
+    args = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = tuple(pool.map(_trial_record, args))
@@ -244,7 +241,7 @@ def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[Tr
         records = tuple(_trial_record(a) for a in args)
     values = [r.td_min for r in records]
     counter = Counter(values)
-    k = cfg.k_override if cfg.k_override is not None else threshold_k(cfg.n).k
+    k = threshold_k(cfg.n).k
     below = sum(1 for v in values if v < k)
     summary = TdminSummary(
         cfg.n, cfg.trials, cfg.seed,
@@ -385,12 +382,13 @@ class MaxClassResult:
     upper: int
 
 
-def max_class_search(n: int, d: int, limit_n: int = 4, limit_d: int = 2) -> MaxClassResult:
+def max_class_search(n: int, d: int) -> MaxClassResult:
     """Exact M_NC(n, d) by top-down enumeration from the counting bound.
 
     Removing concepts never raises NCTD, so the first size with any passing
-    class is the maximum.  Beyond the (limit_n, limit_d) budget only the
-    greedy lower-bound witness and the counting upper bound are reported.
+    class is the maximum.  The enumeration is budgeted for n <= 4 and
+    d <= 2; beyond that only the greedy lower-bound witness and the
+    counting upper bound are reported.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -400,9 +398,9 @@ def max_class_search(n: int, d: int, limit_n: int = 4, limit_d: int = 2) -> MaxC
         if decide_order(greedy + [m], n, d) is not None:
             greedy.append(m)
     lower = len(greedy)
-    greedy_class = ConceptClass.from_masks(greedy, n)
-    if n > limit_n or d > limit_d:
-        return MaxClassResult(n, d, "inconclusive", None, (greedy_class,), lower, upper)
+    if n > 4 or d > 2:
+        witness = ConceptClass.from_masks(greedy, n)
+        return MaxClassResult(n, d, "inconclusive", None, (witness,), lower, upper)
     for size in range(upper, lower - 1, -1):
         passing = [combo for combo in itertools.combinations(range(1 << n), size)
                    if decide_order(list(combo), n, d) is not None]
@@ -439,8 +437,7 @@ class TauReport:
     ci_high: float
 
 
-def tau_estimate(n: int, trials: int, seed: int, k_override: int | None = None,
-                 max_n: int = 128) -> TauReport:
+def tau_estimate(n: int, trials: int, seed: int, k_override: int | None = None) -> TauReport:
     """Fraction of random tournaments with td_min(class1) <= k, with a Wilson 95% CI.
 
     k defaults to floor(log2 n - 2 log2 log2(2n)) - 5; at desk scale that is
@@ -449,8 +446,8 @@ def tau_estimate(n: int, trials: int, seed: int, k_override: int | None = None,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n > max_n:
-        raise BudgetError(f"exact td_min budget is n <= {max_n}, got n={n}")
+    if n > _TDMIN_MAX_N:
+        raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={n}")
     if k_override is not None:
         k, source = k_override, "override"
     else:

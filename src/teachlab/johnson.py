@@ -8,14 +8,14 @@ exactly the k-subsets of a (k+1)-set.  A family therefore avoids narrow
 that counter form drives the branch-and-bound search for H_t(n, k): include
 or exclude vertices in colex order, prune on remaining-vertex count and the
 counting bound t*C(n,k+1)/(n-k), which equals t*C(n,k)/(k+1) exactly since
-each k-set lies in exactly n-k of the (k+1)-sets.
+each k-set lies in exactly n-k of the (k+1)-sets.  The search is one loop
+that backtracks by excluding the last vertex it included.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -156,10 +156,6 @@ class HMaxResult:
     upper: int
 
 
-class _Stop(Exception):
-    pass
-
-
 def _greedy_family(verts: list[int], vds: list[tuple[int, ...]], nds: int, t: int) -> list[int]:
     counts = [0] * nds
     chosen = []
@@ -199,8 +195,7 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
             per_vertex[vindex[dm ^ low]].append(di)
     vds = [tuple(ds) for ds in per_vertex]
 
-    counting_upper = t * comb(n, k + 1) // (n - k)
-    upper0 = min(nv, counting_upper)
+    upper0 = min(nv, t * comb(n, k + 1) // (n - k))  # the counting bound
     greedy = _greedy_family(verts, vds, len(dsubs), t)
     lower0 = len(greedy)
 
@@ -214,55 +209,49 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
     # the colex-least optimum whenever no later leaf improves on it; after an
     # improvement the first leaf reaching the new size is the witness
     witness = greedy
-    chosen: list[int] = []
+    # the DFS branches only at included vertices, so its path is their index
+    # list; backtracking pops the last one and resumes past it, excluded
+    path: list[int] = []
     # every accepted k-set raises n-k of the D-counters, so the leftover
     # slack sum(t - counts) caps any extension at slack // (n - k)
     stride = n - k
     slack = t * len(dsubs)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
-    try:
-        def grow(idx: int, cur: int) -> None:
-            nonlocal best, slack, witness
-            room = nv - idx
-            cap = slack // stride
-            if cap < room:
-                room = cap
-            if cur + room <= best:
-                return
-            if idx == nv:
-                best = cur
-                witness = list(chosen)
-                if best >= upper0:
-                    raise _Stop
-                return
-            if all(counts[di] < t for di in vds[idx]):
-                for di in vds[idx]:
-                    counts[di] += 1
-                slack -= stride
-                chosen.append(verts[idx])
-                grow(idx + 1, cur + 1)
-                chosen.pop()
-                for di in vds[idx]:
-                    counts[di] -= 1
-                slack += stride
-            grow(idx + 1, cur)
-
-        try:
-            grow(0, 0)
-        except _Stop:
-            pass
-    finally:
-        sys.setrecursionlimit(old_limit)
+    idx = 0
+    while True:
+        room = nv - idx
+        cap = slack // stride
+        if cap < room:
+            room = cap
+        if len(path) + room > best:
+            if idx < nv:
+                if all(counts[di] < t for di in vds[idx]):
+                    for di in vds[idx]:
+                        counts[di] += 1
+                    slack -= stride
+                    path.append(idx)
+                idx += 1
+                continue
+            best = len(path)
+            witness = [verts[i] for i in path]
+            if best >= upper0:
+                break
+        # pruned node or leaf: undo the last inclusion and take its exclude branch
+        if not path:
+            break
+        idx = path.pop()
+        for di in vds[idx]:
+            counts[di] -= 1
+        slack += stride
+        idx += 1
     fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in witness))
     return HMaxResult(n, k, t, "exact", best, fam, best, best)
 
 
-def h_ratio(n: int, k: int, t: int, exact_limit: int = 1000) -> Fraction:
-    """H_t(n, k) / C(n, k) as an exact rational; requires the exact search to finish."""
-    res = h_max(n, k, t, exact_limit)
+def h_ratio(n: int, k: int, t: int) -> Fraction:
+    """H_t(n, k) / C(n, k) as an exact rational; needs h_max to be exact at its default limit."""
+    res = h_max(n, k, t)
     if res.status != "exact":
-        raise BudgetError(f"h_max({n}, {k}, {t}) is inconclusive under limit {exact_limit}")
+        raise BudgetError(f"h_max({n}, {k}, {t}) is inconclusive: C({n}, {k}) is over its limit")
     return Fraction(res.size, comb(n, k))
 
 

@@ -138,7 +138,7 @@ def _subset_masks(n: int, size: int) -> Iterator[int]:
     return map(sum, itertools.combinations([1 << x for x in range(n)], size))
 
 
-def _greedy_order1(diff: list[list[int]], m: int, n: int) -> list[int] | None:
+def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | None:
     """First-fit singleton assignment, trying instance (i mod n)+1 first at concept i.
 
     A completed assignment is admissible by construction (each value is
@@ -146,12 +146,11 @@ def _greedy_order1(diff: list[list[int]], m: int, n: int) -> list[int] | None:
     falls back to the complete search.
     """
     assign: list[int] = []
-    for i in range(m):
-        di = diff[i]
+    for i, mi in enumerate(masks):
         for off in range(n):
             bit = 1 << ((i + off) % n)
             for j in range(i):
-                dm = di[j]
+                dm = mi ^ masks[j]
                 if not dm & bit and not dm & assign[j]:
                     break
             else:
@@ -178,13 +177,9 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
     m = len(masks)
     if m == 0:
         return []
-    diff = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff[i][j] = diff[j][i] = masks[i] ^ masks[j]
 
     if d == 1:
-        sol = _greedy_order1(diff, m, n)
+        sol = _greedy_order1(masks, n)
         if sol is not None:
             return sol
 
@@ -265,12 +260,12 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
         smask = cands[ci]
         assigned[pick] = ci
         trail = frame[2] = []
-        dp = diff[pick]
+        mp = masks[pick]
         ok = True
         for j in range(m):
             if assigned[j] >= 0:
                 continue
-            dm = dp[j]
+            dm = mp ^ masks[j]
             if smask & dm:
                 continue
             old = domains[j]

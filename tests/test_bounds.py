@@ -68,7 +68,7 @@ def test_default_t_values():
 def test_resolve_h_exact_vs_fallback():
     h, kind = resolve_h(4, 2, 2)
     assert kind == "exact" and h == Fraction(4, 6)
-    h, kind = resolve_h(30, 2, 2, exact_limit=24)
+    h, kind = resolve_h(30, 2, 2)
     assert kind == "upper-bound" and h == Fraction(2, 3)
 
 

@@ -81,6 +81,20 @@ def test_powerset_has_td_n():
     assert rtd(k) == n
 
 
+def _empty_and_singletons(n: int) -> ConceptClass:
+    return ConceptClass.from_masks([0] + [1 << i for i in range(n)], n)
+
+
+def test_td_max_needs_no_call_depth(shallow_stack):
+    # the empty concept is taught only by the whole domain
+    assert td_max(_empty_and_singletons(300)) == 300
+
+
+def test_td_of_needs_no_call_depth(shallow_stack):
+    size, witness = td_of(_empty_and_singletons(150), Concept(150, 0))
+    assert size == 150 and witness == frozenset(range(1, 151))
+
+
 def test_is_teaching_set_requires_membership():
     with pytest.raises(ValueError):
         td_of(HALF_INTERVALS_3, Concept.from_string("010"))

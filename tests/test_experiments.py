@@ -230,16 +230,14 @@ def test_run_tdmin_experiment_parallel_equals_serial():
 
 
 def test_run_tdmin_experiment_values_are_genuine():
-    cfg = ExperimentConfig(n=5, trials=5, seed=11, include_rtd_up_to=5)
+    cfg = ExperimentConfig(n=5, trials=5, seed=11)
     records, summary = run_tdmin_experiment(cfg)
-    from teachlab import rtd
 
     for r in records:
         g = random_tournament(5, r.seed)
         k1 = class1(g)
         assert r.td_min == td_min(k1)
         assert r.nctd == nctd(k1).d
-        assert r.rtd == rtd(k1)
     assert summary.minimum == min(r.td_min for r in records)
     assert summary.maximum == max(r.td_min for r in records)
     assert summary.mean == pytest.approx(sum(r.td_min for r in records) / 5)

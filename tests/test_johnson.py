@@ -179,7 +179,14 @@ def test_h_ratio_values_and_monotonicity():
 
 def test_h_ratio_budget_error_when_inexact():
     with pytest.raises(BudgetError):
-        h_ratio(12, 3, 2, exact_limit=10)
+        h_ratio(14, 4, 2)
+
+
+def test_h_max_needs_no_call_depth(shallow_stack):
+    # any two singletons fill a 2-set, so the search walks all 150 vertices to prove size 1
+    res = h_max(150, 1, 1)
+    assert res.status == "exact" and res.size == 1
+    assert res.witness.members == frozenset({frozenset({1})})
 
 
 def test_h_max_inconclusive_when_over_limit():

@@ -6,7 +6,11 @@ dimension NCTD(k) is the least order any admissible teacher can have.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -197,11 +201,30 @@ def test_power_set_over_5_is_refuted_at_order_2_by_counting_traces():
         19, 21, 25, 11, 21, 25, 7, 7, 25, 25, 7, 19, 28, 7, 11, 13)
 
 
-def test_decide_order_stack_depth_does_not_grow_with_class_size():
+def test_decide_order_stack_depth_does_not_grow_with_class_size(shallow_stack):
     masks = random.Random(1500).sample(range(1 << 11), 1500)
     sol = decide_order(masks, 11, 11)
     k = ConceptClass.from_masks(masks, 11)
     assert is_nc_teacher(NCTeacher(k, tuple(mask_to_instances(s) for s in sol)))
+    # memory does not grow with the square of the class size either; ru_maxrss is in KB on Linux
+    probe = (
+        "import random, resource\n"
+        "from teachlab import decide_order\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "masks = random.Random(1500).sample(range(1 << 11), 1500)\n"
+        "assert decide_order(masks, 11, 11) is not None\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # a process inherits its parent's peak across exec, so the probe runs
+    # under a small launcher rather than directly under this large process
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 16 * 1024
 
 
 def _permute_mask(mask: int, perm: list[int], n: int) -> int:
