@@ -8,6 +8,8 @@ assigned sets.  The achievable order (largest set size) can undercut
 TD_min dramatically; NCTD is the smallest order of any admissible teacher.
 """
 
+from itertools import combinations
+
 from teachlab import (
     Concept,
     ConceptClass,
@@ -70,6 +72,14 @@ print("  concepts whose 2-sets fit in one 3-set must differ on it, so a 3-set")
 print("  holds at most 8 of them.  Each 2-set lies in three 3-sets: 32 * 3 = 96")
 print("  places are needed and the ten 3-sets offer 10 * 8 = 80, so the solver")
 print(f"  refutes order 2 without searching: decide_order -> {decide_order(range(32), 5, 2)}")
+tied = [0, 1, 2, 3, 4, 5, 8, 15]
+room = sum(len({c & (1 << x | 1 << y) for c in tied}) for x, y in combinations(range(4), 2))
+print(f"  {' '.join(c.to_string() for c in ConceptClass.from_masks(tied, 4).concepts)}"
+      " is no tournament class, yet its traces")
+print(f"  on the six 2-sets number {room} = 8 * 3: the count ties, so every trace on a 2-set D")
+print("  is carried by exactly one concept whose singleton lies in D.  Confining each")
+print("  lone carrier to its D leaves some trace with no carrier, so again no search:")
+print(f"  decide_order -> {decide_order(tied, 4, 1)}")
 
 print()
 print("=" * 64)

@@ -5,11 +5,13 @@ their assigned sets; a teacher is admissible when no pair clashes.  The
 dimension NCTD(k) is the least order any admissible teacher can have.
 """
 
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,9 @@ from teachlab import (
     ConceptClass,
     FormatError,
     NCTeacher,
+    all_tournaments,
     clash,
+    class1,
     class2,
     decide_order,
     instances_to_mask,
@@ -32,8 +36,12 @@ from teachlab import (
     nctd_lower_bound,
     normalize_teacher,
     parse_teacher,
+    random_tournament,
+    serialize_class,
     serialize_teacher,
 )
+from teachlab.cli import EXIT_BUDGET, main
+from teachlab.ncteach import _greedy_order1, _lone_carriers_refute
 
 from oracles import brute_nctd
 
@@ -170,6 +178,11 @@ def test_concepts_whose_sets_fit_in_a_d_plus_1_set_differ_on_it():
             assert len(set(traces)) == len(traces)
 
 
+def _trace_room(masks, n: int, d: int) -> int:
+    return sum(len({c & instances_to_mask(dset, n) for c in masks})
+               for dset in itertools.combinations(range(1, n + 1), d + 1))
+
+
 def test_decide_order_refutes_exactly_above_brute_force_nctd():
     rng = random.Random(20261018)
     fired = 0
@@ -181,9 +194,7 @@ def test_decide_order_refutes_exactly_above_brute_force_nctd():
         for d in range(n + 1):
             assert (decide_order(masks, n, d) is None) == (least > d)
             if 0 < d < n and size > 1:
-                room = sum(len({c & instances_to_mask(dset, n) for c in masks})
-                           for dset in itertools.combinations(range(1, n + 1), d + 1))
-                fired += room < size * (n - d)
+                fired += _trace_room(masks, n, d) < size * (n - d)
     # the trace count alone refutes some of these orders
     assert fired > 0
 
@@ -199,6 +210,110 @@ def test_power_set_over_5_is_refuted_at_order_2_by_counting_traces():
     assert res.teacher.set_masks() == (
         7, 7, 13, 25, 11, 11, 19, 21, 11, 13, 21, 7, 7, 19, 25, 25,
         19, 21, 25, 11, 21, 25, 7, 7, 25, 25, 7, 19, 28, 7, 11, 13)
+
+
+def _decide_order_inputs():
+    rng = random.Random(12111)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(16, 1 << n)))
+        for d in range(n + 1):
+            yield masks, n, d
+    for n in range(3, 17):
+        for seed in range(3):
+            g = random_tournament(n, seed)
+            for k in (class1(g), class2(g)):
+                for d in (1, 2):
+                    yield list(k.masks), n, d
+    for combo in itertools.combinations(range(16), 8):
+        yield list(combo), 4, 1
+
+
+def test_decide_order_outputs_match_recorded_digest():
+    # recorded before tied trace counts were refuted by propagation: pruning
+    # may change which classes are searched, never a returned teacher
+    h = hashlib.sha256()
+    count = 0
+    for masks, n, d in _decide_order_inputs():
+        h.update(repr(decide_order(masks, n, d)).encode() + b"\n")
+        count += 1
+    assert count == 25058
+    assert h.hexdigest() == "90b1ef9baec97ef9de34cef0b985c4b0d9711e8c98dab42dcaea21b0573ebae0"
+
+
+def test_tied_class_beyond_the_greedy_gets_the_searched_teacher():
+    masks = [0, 1, 2, 5, 10, 13, 14, 15]
+    assert _greedy_order1(masks, 4) is None
+    assert _trace_room(masks, 4, 1) == len(masks) * 3
+    assert decide_order(masks, 4, 1) == [1, 4, 2, 8, 8, 2, 4, 1]
+
+
+def test_lone_carriers_refute_most_tied_classes_over_4():
+    tournament_classes = {frozenset(class2(g).masks) for g in all_tournaments(4)}
+    tied = refuted = 0
+    for combo in itertools.combinations(range(16), 8):
+        if _greedy_order1(combo, 4) is not None or _trace_room(combo, 4, 1) != 24:
+            continue
+        tied += 1
+        if _lone_carriers_refute(combo, 4, 1, None):
+            refuted += 1
+            assert frozenset(combo) not in tournament_classes
+    assert (tied, refuted) == (4961, 4704)
+
+
+def test_tied_classes_agree_with_milp():
+    from milp import order_feasible
+
+    for n, expect_refuted in ((5, 145), (6, 144)):
+        rng = random.Random(n)
+        # shuffled tournament classes tie and are feasible; random tied classes are not
+        classes = [rng.sample(list(class2(random_tournament(n, seed)).masks), 2 * n)
+                   for seed in range(5)]
+        while len(classes) < 155:
+            masks = rng.sample(range(1 << n), 2 * n)
+            if _trace_room(masks, n, 1) == 2 * n * (n - 1):
+                classes.append(masks)
+        feasible = refuted = 0
+        for masks in classes:
+            ok = order_feasible(masks, n, 1)
+            assert (decide_order(masks, n, 1) is not None) == ok
+            feasible += ok
+            refuted += _greedy_order1(masks, n) is None and _lone_carriers_refute(masks, n, 1, None)
+        assert (feasible, refuted) == (5, expect_refuted)
+
+
+def test_milp_oracle_matches_brute_force_nctd():
+    from milp import order_feasible
+
+    rng = random.Random(404)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(8, 1 << n)))
+        least = brute_nctd(masks, n)
+        for d in range(n + 1):
+            assert order_feasible(masks, n, d) == (least <= d)
+
+
+def test_deadline_stops_a_long_order2_search(tmp_path):
+    # deciding order 2 on this class takes seconds; the deadline is read every
+    # 1024 search nodes, so a run may overshoot it, by at most slack here
+    slack = 1.0
+    rng = random.Random(7)
+    for _ in range(3):
+        masks = rng.sample(range(32), rng.randint(22, 28))
+    k = ConceptClass.from_masks(masks, 5)
+    assert len(k) == 26
+    # two traces to spare: the count does not tie, so only the search runs
+    assert _trace_room(k.masks, 5, 2) == 26 * 3 + 2
+    start = time.monotonic()
+    res = nctd(k, timeout=0.5)
+    assert 0.5 <= time.monotonic() - start < 0.5 + slack
+    assert (res.status, res.d, res.teacher, res.lower_bound) == ("timeout", None, None, 2)
+    path = tmp_path / "slow.cls"
+    path.write_text(serialize_class(k), encoding="ascii")
+    start = time.monotonic()
+    assert main(["nctd", "--class", str(path), "--timeout", "0.5"]) == EXIT_BUDGET
+    assert 0.5 <= time.monotonic() - start < 0.5 + slack
 
 
 def test_decide_order_stack_depth_does_not_grow_with_class_size(shallow_stack):
