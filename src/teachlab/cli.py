@@ -90,6 +90,18 @@ def _budget_secs(raw: str) -> float:
     return secs
 
 
+def _job_count(raw: str) -> int:
+    """A worker process count >= 1."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a whole number of worker processes >= 1, got {raw!r}")
+    return jobs
+
+
 def _default_timeout() -> float | None:
     raw = os.environ.get(BUDGET_ENV)
     return None if raw is None else _budget_secs(raw)
@@ -558,7 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", metavar="CSV", help="'-' prints the CSV to stdout")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--jobs", type=_job_count, default=1, metavar="J",
+                   help="worker processes for the trials (default 1: run in this process)")
 
     p = leaf(esub, "claim", _cmd_experiment_claim, "growth-inequality scan")
     p.add_argument("--scan-max", type=int, default=1 << 40, metavar="N")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -229,12 +228,18 @@ def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[Tr
     """td_min and nctd of class1 over cfg.trials random tournaments.
 
     Deterministic for a given config; records come back ordered by trial
-    index whatever the job count.
+    index whatever the job count.  jobs > 1 spreads trials over that many
+    worker processes.
     """
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     if cfg.n > _TDMIN_MAX_N:
         raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={cfg.n}")
     args = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if jobs > 1:
+        # imported here so that importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = tuple(pool.map(_trial_record, args))
     else:

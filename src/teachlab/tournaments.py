@@ -10,7 +10,14 @@ orientation of every pair, which recover_tournament implements.
 Orientations are packed one bit per pair in row-major upper-triangle order.
 Random tournaments draw each pair's bit from its own SplitMix64 stream
 indexed by the pair rank, so generation is reproducible and independent of
-draw order.
+draw order.  rng.stream_bits draws all C(n,2) bits in one lane-parallel
+evaluation, bit-identical to stream_bit(seed, rank) pair by pair.
+
+The edge list and the winner concepts read the pair bits once, in rank
+order, as one ASCII string rather than testing has_edge on every ordered
+pair.  Row i of that string is the run of pairs (i, j > i); C_j takes the
+players i < j from column j of the upper triangle, transposed with one
+byte slice, and the players i > j from row j, complemented.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterator
 from .concepts import ConceptClass, _content_lines, _read_header
 from .errors import FormatError, PropertyViolation
 from .ncteach import NCTeacher, is_nc_teacher
-from .rng import stream_bit
+from .rng import stream_bits
 
 __all__ = [
     "Tournament",
@@ -69,9 +76,24 @@ class Tournament:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All directed edges, one per pair, in pair-rank order."""
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield (i, j) if self.has_edge(i, j) else (j, i)
+        for i, row in enumerate(_rows(self), 1):
+            for j, ch in enumerate(row, i + 1):
+                yield (i, j) if ch == _ONE else (j, i)
+
+
+_ONE = ord("1")
+_FLIP = bytes.maketrans(b"01", b"10")
+
+
+def _rows(g: Tournament) -> list[bytes]:
+    """Row i-1 is the ASCII bits of the pairs (i, i+1), ..., (i, n), read once in rank order."""
+    n = g.n
+    ranked = format(g.bits, "b").zfill(comb(n, 2)).encode("ascii")[::-1]
+    rows, r = [], 0
+    for i in range(1, n + 1):
+        rows.append(ranked[r:r + n - i])
+        r += n - i
+    return rows
 
 
 def linear_tournament(n: int) -> Tournament:
@@ -81,10 +103,7 @@ def linear_tournament(n: int) -> Tournament:
 
 def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair's orientation from its own stream: bit = stream_bit(seed, rank)."""
-    bits = 0
-    for r in range(comb(n, 2)):
-        bits |= stream_bit(seed, r) << r
-    return Tournament(n, bits)
+    return Tournament(n, stream_bits(seed, comb(n, 2)))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
@@ -95,14 +114,14 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
 
 def _winner_masks(g: Tournament) -> list[int]:
     """Mask of C_j = {i : edge (i, j)} for each j."""
-    out = []
-    for j in range(1, g.n + 1):
-        m = 0
-        for i in range(1, g.n + 1):
-            if i != j and g.has_edge(i, j):
-                m |= 1 << (i - 1)
-        out.append(m)
-    return out
+    n = g.n
+    rows = _rows(g)
+    # upper[(i-1)*n + (j-1)] is the bit of pair (i, j) for i < j, "0" on and below the diagonal
+    upper = b"".join(b"0" * i + row for i, row in enumerate(rows, 1))
+    # C_j holds i < j when pair (i, j) is set (column j up to the diagonal)
+    # and i > j when pair (j, i) is clear (row j complemented)
+    return [int((upper[j - 1::n][:j] + rows[j - 1].translate(_FLIP))[::-1], 2)
+            for j in range(1, n + 1)]
 
 
 def class1(g: Tournament) -> ConceptClass:

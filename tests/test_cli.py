@@ -159,6 +159,17 @@ def test_tournament_gen_seeded_round_trip(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_tournament_gen_negative_seed_golden(tmp_path, capsys):
+    # recorded by the per-pair generator; pins a negative seed through the lane-parallel one
+    want = golden("tournament_n40_s-5.trn")
+    assert main(["tournament", "gen", "--n", "40", "--seed", "-5"]) == EXIT_OK
+    assert capsys.readouterr().out == want
+    out = tmp_path / "g.trn"
+    argv = ["tournament", "gen", "--n", "40", "--seed", "-5", "--out", str(out)]
+    assert dispatch(argv).code == EXIT_OK
+    assert out.read_text(encoding="ascii") == want
+
+
 def test_tournament_recover_with_explicit_teacher(tmp_path):
     trn, cls, nct = tmp_path / "g.trn", tmp_path / "g.cls", tmp_path / "g.nct"
     dispatch(["tournament", "gen", "--n", "4", "--seed", "5", "--out", str(trn)])
@@ -245,6 +256,15 @@ def test_experiment_tdmin_n64_csv_golden(tmp_path):
                      "--seed", "20260815", "--out", str(out)]).code
     assert code == EXIT_OK
     assert out.read_bytes() == (GOLDEN / "tdmin_n64_s20260815_t200.csv").read_bytes()
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "two"])
+def test_experiment_tdmin_rejects_jobs_below_one(raw, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["experiment", "tdmin", "--n", "6", "--trials", "3", "--seed", "42",
+                  "--jobs", raw])
+    assert exc.value.code == EXIT_INPUT
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_experiment_tdmin_over_budget():
@@ -343,6 +363,15 @@ def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
         outcome = dispatch(argv)
         assert outcome.code == EXIT_INPUT
         assert BUDGET_ENV in outcome.text
+
+
+def test_import_does_not_load_multiprocessing():
+    # a process pool is only needed for experiment tdmin --jobs > 1
+    probe = ("import sys, teachlab, teachlab.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+             " if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():

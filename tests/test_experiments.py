@@ -229,6 +229,13 @@ def test_run_tdmin_experiment_parallel_equals_serial():
     assert rec_s == rec_p and sum_s == sum_p
 
 
+def test_run_tdmin_experiment_rejects_jobs_below_one():
+    cfg = ExperimentConfig(n=6, trials=2, seed=1)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_tdmin_experiment(cfg, jobs=jobs)
+
+
 def test_run_tdmin_experiment_values_are_genuine():
     cfg = ExperimentConfig(n=5, trials=5, seed=11)
     records, summary = run_tdmin_experiment(cfg)

@@ -1,11 +1,24 @@
-"""Deterministic stream randomness."""
+"""Deterministic stream randomness.
+
+stream_bits evaluates all indices in parallel lanes of one int; the
+per-index loop over stream_bit below is its reference.
+"""
+
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teachlab import mix64, stream, stream_bit
+from teachlab import mix64, stream, stream_bit, stream_bits
 from teachlab.rng import MASK64
+
+
+def loop_bits(seed: int, count: int) -> int:
+    bits = 0
+    for r in range(count):
+        bits |= stream_bit(seed, r) << r
+    return bits
 
 
 def test_mix64_known_values():
@@ -46,3 +59,20 @@ def test_mix64_stays_in_range(x):
 def test_mix64_is_injective_on_a_sample():
     xs = list(range(10000))
     assert len({mix64(x) for x in xs}) == len(xs)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, -1, -5, MASK64, (1 << 64) + 5, 1 << 70, -(1 << 64), -(1 << 80), 1 << 200])
+@pytest.mark.parametrize("count", [0, 1, 2, comb(64, 2), comb(128, 2)])
+def test_stream_bits_matches_per_index_stream_bit(seed, count):
+    assert stream_bits(seed, count) == loop_bits(seed, count)
+
+
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 300))
+def test_stream_bits_matches_loop_property(seed, count):
+    assert stream_bits(seed, count) == loop_bits(seed, count)
+
+
+def test_stream_bits_rejects_negative_count():
+    with pytest.raises(ValueError):
+        stream_bits(0, -1)

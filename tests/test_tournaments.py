@@ -8,6 +8,7 @@ recover_tournament inverts the construction.
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -29,6 +30,7 @@ from teachlab import (
     recover_tournament,
     serialize_class,
     serialize_tournament,
+    stream_bit,
 )
 
 
@@ -68,6 +70,45 @@ def test_pair_rank_row_major():
         pair_rank(4, 3, 3)
     with pytest.raises(ValueError):
         pair_rank(4, 0, 2)
+
+
+def test_random_tournament_matches_per_pair_stream_bits():
+    for n in (1, 2, 5, 19, 64, 128):
+        for seed in (0, -1, -5, (1 << 64) + 3, 1 << 70):
+            bits = 0
+            for r in range(comb(n, 2)):
+                bits |= stream_bit(seed, r) << r
+            assert random_tournament(n, seed).bits == bits
+
+
+def edge_definition(g):
+    """class1 masks, class2 masks and the edge list, from has_edge on every ordered pair."""
+    n = g.n
+    full = (1 << n) - 1
+    winners = [sum(1 << (i - 1) for i in range(1, n + 1) if i != j and g.has_edge(i, j))
+               for j in range(1, n + 1)]
+    edges = [(i, j) if g.has_edge(i, j) else (j, i)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [full ^ m for m in winners], winners + [full ^ m for m in winners], edges
+
+
+def test_classes_and_edges_match_has_edge_on_every_small_tournament():
+    for n in range(1, 6):
+        for g in all_tournaments(n):
+            k1, k2, edges = edge_definition(g)
+            assert list(class1(g).masks) == k1
+            assert list(class2(g).masks) == k2
+            assert list(g.edges()) == edges
+
+
+def test_classes_and_edges_match_has_edge_on_seeded_tournaments():
+    for n in (6, 7, 8, 13, 31, 64, 65, 100, 130):
+        for seed in (0, -5, n):
+            g = random_tournament(n, seed)
+            k1, k2, edges = edge_definition(g)
+            assert list(class1(g).masks) == k1
+            assert list(class2(g).masks) == k2
+            assert list(g.edges()) == edges
 
 
 def test_random_tournament_deterministic():
