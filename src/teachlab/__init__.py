@@ -7,195 +7,31 @@ teachers, tournament-induced classes with their canonical order-1 teachers,
 Johnson-graph extremal families, the Sauer-type bound family, and the
 desk-scale probabilistic experiments.  Everything is exact integer or
 rational arithmetic except where a report is explicitly a float estimate.
+
+Each module's __all__ is its public surface; the package root re-exports
+every one of them.
 """
 
-from .bounds import (
-    BoundReport,
-    bound_report,
-    chernoff_bound,
-    corollary_d2_bound,
-    default_t,
-    gub_bound,
-    heavy_sets,
-    improved_factor,
-    ksz_bound,
-    resolve_h,
-    sauer_phi,
-)
-from .classical import (
-    TeachingReport,
-    is_teaching_set,
-    rtd,
-    rtd_bruteforce,
-    td_max,
-    td_min,
-    td_of,
-    teaching_report,
-)
-from .concepts import (
-    Concept,
-    ConceptClass,
-    agrees_on,
-    complement,
-    difference_set,
-    instances_to_mask,
-    mask_to_instances,
-    parse_class,
-    serialize_class,
-)
-from .errors import BudgetError, FormatError, PropertyViolation
-from .experiments import (
-    ClaimCheck,
-    ClaimScan,
-    Dim1Report,
-    ExperimentConfig,
-    MaxClassResult,
-    PatternReport,
-    TauReport,
-    TdminSummary,
-    Threshold,
-    TrialRecord,
-    claim_check,
-    claim_scan,
-    max_class_search,
-    pattern_count,
-    pattern_report,
-    run_tdmin_experiment,
-    tau_estimate,
-    threshold_k,
-    verify_dim1,
-)
-from .johnson import (
-    CliqueClass,
-    HMaxResult,
-    KSetFamily,
-    classify_clique,
-    complement_family,
-    h_max,
-    h_ratio,
-    johnson_adjacent,
-    narrow_clique_free,
-    narrow_cliques,
-    parse_family,
-    restrict_family,
-    serialize_family,
-)
-from .ncteach import (
-    NCTeacher,
-    NctdResult,
-    clash,
-    decide_order,
-    is_nc_teacher,
-    nctd,
-    nctd_lower_bound,
-    normalize_teacher,
-    parse_teacher,
-    serialize_teacher,
-)
-from .rng import mix64, stream, stream_bit, stream_bits
-from .tournaments import (
-    Tournament,
-    all_tournaments,
-    canonical_teacher,
-    class1,
-    class2,
-    linear_tournament,
-    pair_rank,
-    parse_tournament,
-    random_tournament,
-    recover_tournament,
-    serialize_tournament,
-)
+from . import bounds, classical, concepts, errors, experiments, johnson, ncteach, rng, tournaments
+from .bounds import *
+from .classical import *
+from .concepts import *
+from .errors import *
+from .experiments import *
+from .johnson import *
+from .ncteach import *
+from .rng import *
+from .tournaments import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BudgetError",
-    "ClaimCheck",
-    "ClaimScan",
-    "CliqueClass",
-    "Concept",
-    "ConceptClass",
-    "Dim1Report",
-    "ExperimentConfig",
-    "FormatError",
-    "HMaxResult",
-    "KSetFamily",
-    "MaxClassResult",
-    "NCTeacher",
-    "NctdResult",
-    "PatternReport",
-    "PropertyViolation",
-    "TauReport",
-    "TdminSummary",
-    "TeachingReport",
-    "Threshold",
-    "Tournament",
-    "TrialRecord",
-    "agrees_on",
-    "all_tournaments",
-    "bound_report",
-    "canonical_teacher",
-    "chernoff_bound",
-    "claim_check",
-    "claim_scan",
-    "clash",
-    "class1",
-    "class2",
-    "classify_clique",
-    "complement",
-    "complement_family",
-    "corollary_d2_bound",
-    "decide_order",
-    "default_t",
-    "difference_set",
-    "gub_bound",
-    "h_max",
-    "h_ratio",
-    "heavy_sets",
-    "improved_factor",
-    "instances_to_mask",
-    "is_nc_teacher",
-    "is_teaching_set",
-    "johnson_adjacent",
-    "ksz_bound",
-    "linear_tournament",
-    "mask_to_instances",
-    "max_class_search",
-    "mix64",
-    "narrow_clique_free",
-    "narrow_cliques",
-    "nctd",
-    "nctd_lower_bound",
-    "normalize_teacher",
-    "pair_rank",
-    "parse_class",
-    "parse_family",
-    "parse_teacher",
-    "parse_tournament",
-    "pattern_count",
-    "pattern_report",
-    "random_tournament",
-    "recover_tournament",
-    "resolve_h",
-    "restrict_family",
-    "rtd",
-    "rtd_bruteforce",
-    "run_tdmin_experiment",
-    "sauer_phi",
-    "serialize_class",
-    "serialize_family",
-    "serialize_teacher",
-    "serialize_tournament",
-    "stream",
-    "stream_bit",
-    "stream_bits",
-    "tau_estimate",
-    "td_max",
-    "td_min",
-    "td_of",
-    "teaching_report",
-    "threshold_k",
-    "verify_dim1",
-]
+__all__ = []
+__all__ += bounds.__all__
+__all__ += classical.__all__
+__all__ += concepts.__all__
+__all__ += errors.__all__
+__all__ += experiments.__all__
+__all__ += johnson.__all__
+__all__ += ncteach.__all__
+__all__ += rng.__all__
+__all__ += tournaments.__all__

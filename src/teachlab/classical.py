@@ -7,8 +7,10 @@ td_of, td_max and teaching_report need each concept's own minimum and its
 lexicographically least witness: a minimum hitting set of the difference
 masks, by branching on the smallest uncovered mask with a greedy
 disjoint-packing lower bound, on an explicit stack (see _hit_decision).
-rtd_bruteforce uses that kernel too, so it stays a reference independent of
-rtd.
+The kernel takes only the masks and a budget: the witness is built
+instance by instance, and once x is chosen the masks left to hit keep only
+their instances above x.  rtd_bruteforce uses that kernel too, so it stays
+a reference independent of rtd.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ def _diff_masks(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
     return [mi ^ mj for j, mj in enumerate(masks) if j != i]
 
 
-def _hit_decision(masks: list[int], budget: int, allowed: int) -> bool:
-    """Can at most `budget` instances drawn from `allowed` hit every mask?
+def _hit_decision(masks: list[int], budget: int) -> bool:
+    """Can at most `budget` instances hit every mask?
 
     Branches on the instances of the most constrained mask, pruned by a
     greedy disjoint-packing lower bound.  A node descends straight into its
     first instance and stacks a [masks, budget, untried instances] frame; a
     failed node resumes the top frame, which is popped when its last
-    instance is taken.
+    instance is taken.  Callers that forbid some instances clear them from
+    the masks first, so an emptied mask cannot be hit.
     """
     stack: list[list] = []
     while True:
@@ -52,16 +55,15 @@ def _hit_decision(masks: list[int], budget: int, allowed: int) -> bool:
         if budget > 0:
             best_count = packed = packing = 0
             for m in masks:
-                mb = m & allowed
-                if mb == 0:
+                if m == 0:
                     bits = 0
                     break
-                c = mb.bit_count()
+                c = m.bit_count()
                 if not bits or c < best_count:
                     best_count = c
-                    bits = mb
-                if mb & packed == 0:
-                    packed |= mb
+                    bits = m
+                if m & packed == 0:
+                    packed |= m
                     packing += 1
                     if packing > budget:
                         bits = 0
@@ -87,24 +89,22 @@ def _hit_decision(masks: list[int], budget: int, allowed: int) -> bool:
 
 
 def _min_hit_size(masks: list[int], n: int) -> int:
-    full = (1 << n) - 1
     for s in range(n + 1):
-        if _hit_decision(masks, s, full):
+        if _hit_decision(masks, s):
             return s
     raise AssertionError("difference family not hittable by the full domain")
 
 
 def _lex_min_witness(masks: list[int], size: int, n: int) -> int:
     """Lexicographically least hitting set of the given (minimal) size, as a mask."""
-    full = (1 << n) - 1
     chosen = 0
     remaining = masks
     floor = 0
     for slot in range(size, 0, -1):
         for x in range(floor + 1, n + 2 - slot):
             bit = 1 << (x - 1)
-            rest = [m for m in remaining if m & bit == 0]
-            if _hit_decision(rest, slot - 1, full & ~((1 << x) - 1)):
+            rest = [m & (-1 << x) for m in remaining if not m & bit]
+            if _hit_decision(rest, slot - 1):
                 chosen |= bit
                 remaining = rest
                 floor = x
@@ -246,17 +246,15 @@ def rtd_bruteforce(k: ConceptClass) -> int:
     if m > 14:
         raise BudgetError(f"brute force enumerates 2^{m} subclasses; cap is 14")
     masks = k.masks
-    n = k.n
-    full = (1 << n) - 1
     diff = [[masks[i] ^ masks[j] for j in range(m)] for i in range(m)]
     best = 0
     for sub in range(1, 1 << m):
         idxs = [i for i in range(m) if (sub >> i) & 1]
         lists = [[diff[i][j] for j in idxs if j != i] for i in idxs]
-        if any(_hit_decision(d, best, full) for d in lists):
+        if any(_hit_decision(d, best) for d in lists):
             continue
         s = best + 1
-        while not any(_hit_decision(d, s, full) for d in lists):
+        while not any(_hit_decision(d, s) for d in lists):
             s += 1
         best = s
     return best

@@ -59,7 +59,6 @@ BUDGET_ENV = "TEACHLAB_BUDGET_SECS"
 class CommandOutcome:
     code: int
     text: str
-    csv_path: str | None = None
 
 
 def _real(x: float) -> str:
@@ -79,14 +78,17 @@ def _write(path: str, text: str) -> None:
 
 
 def _budget_secs(raw: str) -> float:
-    """A search budget in seconds >= 0; NaN is refused, as no deadline would ever pass it."""
+    """A search budget in seconds >= 0; NaN is refused, as no deadline would ever pass it.
+
+    The error is an ArgumentTypeError, whose message argparse shows as is.
+    """
     try:
         secs = float(raw)
     except ValueError:
         secs = math.nan
     if not secs >= 0:
-        raise FormatError(f"--timeout and {BUDGET_ENV} take a number of seconds >= 0,"
-                          f" got {raw!r}")
+        raise argparse.ArgumentTypeError(
+            f"--timeout and {BUDGET_ENV} take a number of seconds >= 0, got {raw!r}")
     return secs
 
 
@@ -104,7 +106,12 @@ def _job_count(raw: str) -> int:
 
 def _default_timeout() -> float | None:
     raw = os.environ.get(BUDGET_ENV)
-    return None if raw is None else _budget_secs(raw)
+    if raw is None:
+        return None
+    try:
+        return _budget_secs(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _read_class(path: str) -> ConceptClass:
@@ -142,13 +149,11 @@ def _cmd_td(args) -> CommandOutcome:
         return CommandOutcome(EXIT_OK, (
             f"concept {i} {c.to_string()}: td={rep.sizes[i]}"
             f" witness={_witness_str(rep.witnesses[i]) or '-'}"))
-    csv_path = None
     if args.csv:
         lines = ["concept_index,td,witness"]
         for i in range(len(k)):
             lines.append(f"{i},{rep.sizes[i]},{_witness_str(rep.witnesses[i])}")
         _write(args.csv, "\n".join(lines) + "\n")
-        csv_path = args.csv
     if args.json:
         return CommandOutcome(EXIT_OK, json.dumps({
             "n": k.n, "size": len(k),
@@ -158,16 +163,16 @@ def _cmd_td(args) -> CommandOutcome:
                 for i in range(len(k))
             ],
             "td_min": rep.td_min, "td_max": rep.td,
-        }), csv_path)
+        }))
     lines = [f"n = {k.n}, concepts = {len(k)}"]
     for i in range(len(k)):
         lines.append(f"concept {i} {k.concepts[i].to_string()}: td={rep.sizes[i]}"
                      f" witness={_witness_str(rep.witnesses[i]) or '-'}")
     lines.append(f"td_min = {rep.td_min}")
     lines.append(f"td_max = {rep.td}")
-    if csv_path:
-        lines.append(f"wrote CSV to {csv_path}")
-    return CommandOutcome(EXIT_OK, "\n".join(lines), csv_path)
+    if args.csv:
+        lines.append(f"wrote CSV to {args.csv}")
+    return CommandOutcome(EXIT_OK, "\n".join(lines))
 
 
 def _cmd_rtd(args) -> CommandOutcome:
@@ -295,6 +300,8 @@ def _cmd_tournament_recover(args) -> CommandOutcome:
         t = _align_teacher(k, _read_teacher(args.teacher, k))
     else:
         res = nctd(k, d_max=1, timeout=_default_timeout())
+        if res.status == "timeout":
+            raise BudgetError("search for an order-1 teacher timed out")
         if res.status != "exact":
             raise PropertyViolation("class admits no order-1 no-clash teacher")
         if res.teacher is None:
@@ -367,21 +374,19 @@ def _cmd_experiment_tdmin(args) -> CommandOutcome:
     for r in records:
         csv_lines.append(f"{r.trial},{r.seed},{cfg.n},{r.td_min},{r.nctd}")
     csv_text = "\n".join(csv_lines) + "\n"
-    csv_path = None
     if args.out == "-":
         return CommandOutcome(EXIT_OK, csv_text.rstrip("\n"))
     if args.out:
         _write(args.out, csv_text)
-        csv_path = args.out
     if args.json:
         out = {"n": summary.n, "trials": summary.trials, "seed": summary.seed,
                "counts": [list(p) for p in summary.counts],
                "min": summary.minimum, "mean": _jreal(summary.mean),
                "max": summary.maximum, "threshold": summary.threshold,
                "fraction_below": _jreal(summary.fraction_below)}
-        if csv_path:
-            out["csv"] = csv_path
-        return CommandOutcome(EXIT_OK, json.dumps(out), csv_path)
+        if args.out:
+            out["csv"] = args.out
+        return CommandOutcome(EXIT_OK, json.dumps(out))
     hist = ", ".join(f"{v} x{c}" for v, c in summary.counts)
     lines = [
         f"n = {summary.n}, trials = {summary.trials}, seed = {summary.seed}",
@@ -390,9 +395,9 @@ def _cmd_experiment_tdmin(args) -> CommandOutcome:
         f"threshold k = {summary.threshold},"
         f" fraction below = {_real(summary.fraction_below)}",
     ]
-    if csv_path:
-        lines.append(f"wrote CSV to {csv_path}")
-    return CommandOutcome(EXIT_OK, "\n".join(lines), csv_path)
+    if args.out:
+        lines.append(f"wrote CSV to {args.out}")
+    return CommandOutcome(EXIT_OK, "\n".join(lines))
 
 
 def _flag(v: bool | None) -> str:
@@ -604,15 +609,11 @@ def dispatch(argv: list[str]) -> CommandOutcome:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FormatError as exc:
-        return CommandOutcome(EXIT_INPUT, f"error: {exc}")
     except PropertyViolation as exc:
         return CommandOutcome(EXIT_PROPERTY, f"error: {exc}")
     except BudgetError as exc:
         return CommandOutcome(EXIT_BUDGET, f"error: {exc}")
-    except ValueError as exc:
-        return CommandOutcome(EXIT_INPUT, f"error: {exc}")
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         return CommandOutcome(EXIT_INPUT, f"error: {exc}")
 
 

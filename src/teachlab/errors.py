@@ -6,6 +6,8 @@ PropertyViolation is a mathematically meaningful failure such as a broken
 precondition or a refuted invariant (exit 1).
 """
 
+__all__ = ["BudgetError", "FormatError", "PropertyViolation"]
+
 
 class FormatError(ValueError):
     """Malformed text in a class, teacher, tournament, or witness file."""

@@ -12,10 +12,12 @@ lane's low 64 bits, so each xor-shift and multiply of mix64 is a single
 big-int operation over all lanes: a 64-bit product fits its 128-bit lane
 without spilling into the next, and masking every shifted copy to the low
 64 bits keeps the next lane's bits out.  The result is bit-identical to
-calling stream_bit once per index.
+calling stream_bit once per index.  Indices are taken 4,096 lanes at a
+time, so the temporaries stay small however many bits are drawn; only the
+ASCII bits of each chunk are kept, and they are joined once at the end.
 """
 
-__all__ = ["MASK64", "mix64", "stream", "stream_bit", "stream_bits"]
+__all__ = ["mix64", "stream", "stream_bit", "stream_bits"]
 
 MASK64 = (1 << 64) - 1
 
@@ -23,6 +25,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 _LANE_BYTES = 16  # 128 bits per lane: room for a 64-bit state times a 64-bit constant
 _LANE = 8 * _LANE_BYTES
+_CHUNK = 4096  # lanes mixed at once, so each big-int temporary stays within 64 KB
 
 _BIT_CHAR = bytes(ord("0") + (b & 1) for b in range(256))  # byte -> ASCII of its bit 0
 
@@ -54,12 +57,8 @@ def stream_bit(seed: int, index: int) -> int:
     return stream(seed, index) & 1
 
 
-def stream_bits(seed: int, count: int) -> int:
-    """The int whose bit r is stream_bit(seed, r) for every r < count, all lanes mixed at once."""
-    if count < 0:
-        raise ValueError("stream count must be nonnegative")
-    if count == 0:
-        return 0
+def _chunk_bits(seed: int, count: int) -> bytes:
+    """ASCII of stream_bit(seed, r) for r = 0..count-1 (count >= 1), index 0 first."""
     # Doubling: lanes 0..c-1 hold seed + (r+1)*GAMMA (reduced below), step
     # holds c*GAMMA in each of them, and low holds MASK64 in each of them.
     state, step, low, c = (seed + _GAMMA) & MASK64, _GAMMA, MASK64, 1
@@ -71,5 +70,19 @@ def stream_bits(seed: int, count: int) -> int:
         c <<= 1
     low &= (1 << _LANE * count) - 1
     x = _mix_lanes(state & low, low)
-    low_bytes = x.to_bytes(_LANE_BYTES * count, "little")[::_LANE_BYTES]  # byte 0 of every lane
-    return int(low_bytes.translate(_BIT_CHAR)[::-1], 2)
+    return x.to_bytes(_LANE_BYTES * count, "little")[::_LANE_BYTES].translate(_BIT_CHAR)
+
+
+def stream_bits(seed: int, count: int) -> int:
+    """The int whose bit r is stream_bit(seed, r) for every r < count.
+
+    Lanes are mixed _CHUNK at a time; the chunk starting at index start is
+    the stream of seed + start*GAMMA.
+    """
+    if count < 0:
+        raise ValueError("stream count must be nonnegative")
+    if count == 0:
+        return 0
+    chunks = [_chunk_bits(seed + start * _GAMMA, min(_CHUNK, count - start))
+              for start in range(0, count, _CHUNK)]
+    return int(b"".join(chunks)[::-1], 2)

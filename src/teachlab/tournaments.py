@@ -10,8 +10,8 @@ orientation of every pair, which recover_tournament implements.
 Orientations are packed one bit per pair in row-major upper-triangle order.
 Random tournaments draw each pair's bit from its own SplitMix64 stream
 indexed by the pair rank, so generation is reproducible and independent of
-draw order.  rng.stream_bits draws all C(n,2) bits in one lane-parallel
-evaluation, bit-identical to stream_bit(seed, rank) pair by pair.
+draw order.  rng.stream_bits draws the C(n,2) bits lane-parallel, 4,096
+lanes at a time, bit-identical to stream_bit(seed, rank) pair by pair.
 
 The edge list and the winner concepts read the pair bits once, in rank
 order, as one ASCII string rather than testing has_edge on every ordered
@@ -166,7 +166,6 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
         users[x].append(idx)
     masks = k.masks
     c_of: list[int] = [0] * (n + 1)
-    cbar_of: list[int] = [0] * (n + 1)
     for x in range(1, n + 1):
         if len(users[x]) != 2:
             raise PropertyViolation(
@@ -175,10 +174,7 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
         bit = 1 << (x - 1)
         if (masks[a] ^ masks[b]) & bit == 0:
             raise PropertyViolation(f"the two concepts taught by {{{x}}} agree on {x}")
-        if masks[a] & bit:
-            cbar_of[x], c_of[x] = masks[a], masks[b]
-        else:
-            cbar_of[x], c_of[x] = masks[b], masks[a]
+        c_of[x] = masks[b] if masks[a] & bit else masks[a]
     bits = 0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -5,6 +5,7 @@ anchor: over [3] it is {000, 100, 110, 111, 011, 001} and every concept
 has teaching dimension 2.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from teachlab import (
     class2,
     is_teaching_set,
     linear_tournament,
+    random_tournament,
     rtd,
     rtd_bruteforce,
     td_max,
@@ -93,6 +95,31 @@ def test_td_max_needs_no_call_depth(shallow_stack):
 def test_td_of_needs_no_call_depth(shallow_stack):
     size, witness = td_of(_empty_and_singletons(150), Concept(150, 0))
     assert size == 150 and witness == frozenset(range(1, 151))
+
+
+def _report_inputs():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        size = rng.randint(1, min(20, 1 << n))
+        yield ConceptClass.from_masks(rng.sample(range(1 << n), size), n)
+    for n in range(8, 17):
+        for seed in range(5):
+            yield class2(random_tournament(n, seed))
+    yield _empty_and_singletons(150)
+
+
+def test_teaching_report_outputs_match_recorded_digest():
+    # recorded when the hitting-set kernel still took a mask of allowed
+    # instances: sizes and lex-least witnesses must not change
+    h = hashlib.sha256()
+    count = 0
+    for k in _report_inputs():
+        rep = teaching_report(k)
+        h.update(repr((rep.sizes, [sorted(w) for w in rep.witnesses])).encode() + b"\n")
+        count += 1
+    assert count == 1546
+    assert h.hexdigest() == "745541e668ebdabc345a3f88ae712d673d83b8ef582a985b8ab39d9c4942fe54"
 
 
 def test_is_teaching_set_requires_membership():

@@ -5,12 +5,14 @@ input, 3 budget exceeded or result inconclusive.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from teachlab import ConceptClass, class2, random_tournament, serialize_class, serialize_tournament
 from teachlab.cli import (
     BUDGET_ENV,
     EXIT_BUDGET,
@@ -190,6 +192,25 @@ def test_tournament_recover_non_tournament_class(tmp_path):
     assert "no order-1 no-clash teacher" in outcome.text
 
 
+def test_tournament_recover_find_teacher_timeout_is_a_budget_exit(tmp_path, monkeypatch):
+    # the greedy fails on this shuffled order and the order-1 decision
+    # passes its first deadline check (at step 1024), so a budget of 0 expires
+    g = random_tournament(16, 0)
+    masks = list(class2(g).masks)
+    random.Random(0).shuffle(masks)
+    cls = tmp_path / "shuffled.cls"
+    cls.write_text(serialize_class(ConceptClass.from_masks(masks, 16)), encoding="ascii")
+    argv = ["tournament", "recover", "--class", str(cls), "--find-teacher"]
+    monkeypatch.setenv(BUDGET_ENV, "0")
+    outcome = dispatch(argv)
+    assert outcome.code == EXIT_BUDGET
+    assert outcome.text == "error: search for an order-1 teacher timed out"
+    monkeypatch.delenv(BUDGET_ENV)
+    outcome = dispatch(argv)
+    assert outcome.code == EXIT_OK
+    assert outcome.text == serialize_tournament(g).rstrip("\n")
+
+
 def test_johnson_hmax_exact_with_witness(tmp_path):
     fam = tmp_path / "fam.txt"
     outcome = dispatch(
@@ -348,11 +369,14 @@ def test_budget_env_sets_default_timeout(half3, monkeypatch):
 
 
 @pytest.mark.parametrize("raw", ["nan", "-1", "seconds"])
-def test_timeout_flag_rejects_nan_negative_and_text(half3, raw):
+def test_timeout_flag_rejects_nan_negative_and_text(half3, raw, capsys):
     # NaN would pass every "monotonic() > deadline" check and disable the budget
     with pytest.raises(SystemExit) as exc:
         dispatch(["nctd", "--class", str(half3), "--timeout", raw])
     assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"argument --timeout: --timeout and {BUDGET_ENV} take a number of seconds >= 0" in err
+    assert "_budget_secs" not in err
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "-0.5"])

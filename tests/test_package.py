@@ -1,0 +1,32 @@
+"""The public surface: each module's __all__ declares it, the root re-exports it."""
+
+import importlib
+
+import teachlab
+
+MODULES = ("bounds", "classical", "concepts", "errors", "experiments", "johnson",
+           "ncteach", "rng", "tournaments")
+
+
+def test_root_exports_exactly_the_module_surfaces():
+    declared = [name for mod in MODULES
+                for name in importlib.import_module(f"teachlab.{mod}").__all__]
+    assert len(declared) == len(set(declared)) == 88
+    assert sorted(teachlab.__all__) == sorted(declared)
+
+
+def test_every_exported_name_is_its_modules_own_object():
+    for mod in MODULES:
+        module = importlib.import_module(f"teachlab.{mod}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert obj.__module__ == module.__name__, (mod, name)
+            assert getattr(teachlab, name) is obj, (mod, name)
+
+
+def test_mask64_stays_in_rng_only():
+    from teachlab.rng import MASK64
+
+    assert MASK64 == (1 << 64) - 1
+    assert "MASK64" not in teachlab.__all__
+    assert not hasattr(teachlab, "MASK64")

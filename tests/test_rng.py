@@ -1,10 +1,14 @@
 """Deterministic stream randomness.
 
-stream_bits evaluates all indices in parallel lanes of one int; the
-per-index loop over stream_bit below is its reference.
+stream_bits evaluates indices in parallel lanes of one int, 4,096 lanes
+at a time; the per-index loop over stream_bit below is its reference.
 """
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -63,7 +67,7 @@ def test_mix64_is_injective_on_a_sample():
 
 @pytest.mark.parametrize(
     "seed", [0, -1, -5, MASK64, (1 << 64) + 5, 1 << 70, -(1 << 64), -(1 << 80), 1 << 200])
-@pytest.mark.parametrize("count", [0, 1, 2, comb(64, 2), comb(128, 2)])
+@pytest.mark.parametrize("count", [0, 1, 2, comb(64, 2), 4095, 4096, 4097, comb(128, 2), 8192])
 def test_stream_bits_matches_per_index_stream_bit(seed, count):
     assert stream_bits(seed, count) == loop_bits(seed, count)
 
@@ -76,3 +80,25 @@ def test_stream_bits_matches_loop_property(seed, count):
 def test_stream_bits_rejects_negative_count():
     with pytest.raises(ValueError):
         stream_bits(0, -1)
+
+
+def test_stream_bits_memory_stays_small_as_count_grows():
+    # C(2000, 2) pairs: mixing every lane at once held 128 bits per pair in
+    # several temporaries (about 200 MB); ru_maxrss is in KB on Linux
+    probe = (
+        "import resource\n"
+        "from teachlab import random_tournament\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "random_tournament(2000, 1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # a process inherits its parent's peak across exec, so the probe runs
+    # under a small launcher rather than directly under this large process
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 32 * 1024
