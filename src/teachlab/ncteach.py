@@ -8,11 +8,17 @@ d-subsets exists.  The decision procedure first tries a greedy order-1
 assignment, then a trace count that can refute order d outright: the
 concepts whose sets lie inside one (d+1)-set D take distinct traces on D,
 so the distinct traces summed over all D must cover every concept n-d
-times.  When that sum ties exactly, every D holds one concept per trace,
-and a concept that is the only possible carrier of some trace on D must
-take a d-set inside D; propagating this until some trace has no carrier
-left refutes most tied classes: 4,704 of the 4,936 tied 2n-concept classes
-over [4] that the greedy leaves open and that are not tournament classes.
+times.  The sum is the popcount of the OR of packed trace vectors: one int
+per concept with a field of 2^(d+1) bits per D, the AND of n masks cached
+per (n, d).  The exhaustive enumerations in experiments build the vectors
+of all 2^n concepts once and apply the count themselves, so decide_order
+sees only the classes it leaves open.  When the sum ties exactly, every D
+holds one concept per trace, and a concept that is the only possible
+carrier of some trace on D must take a d-set inside D; propagating this,
+over tables of each D's instances and candidates cached per (n, d), until
+some trace has no carrier left refutes most tied classes: 4,704 of the
+4,936 tied 2n-concept classes over [4] that the greedy leaves open and
+that are not tournament classes.
 Otherwise it backtracks over concepts with forward checking, on an explicit
 stack: each concept's surviving candidates are a bitmask over the
 lexicographic list of d-subsets, the concept with the fewest survivors is
@@ -22,7 +28,9 @@ lexicographic order, so the first witness found is deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from math import comb
@@ -166,42 +174,104 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
     return assign
 
 
+@functools.cache
+def _value_masks(n: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Per instance x of [n], the trace-vector bits consistent with x = 0 and with x = 1.
+
+    A trace vector (0 < d < n) has one field of 2^(d+1) bits per (d+1)-subset
+    D of [n], the lowest field for the lexicographically first D.  Bit p of
+    D's field stands for the trace whose value on the j-th smallest instance
+    of D is bit j of p.  Every bit of D's field is consistent with x = b
+    when x lies outside D, and half of them when x is D's j-th instance.
+    """
+    width = 1 << (d + 1)
+    digits = width // 4  # hex digits per field, a whole number since d >= 1
+    # half[b][j]: the field bits p with bit j of p equal to b; half[b][-1]: every bit
+    half = [[format(sum(1 << p for p in range(width) if p >> j & 1 == b), f"0{digits}x")
+             for j in range(d + 1)] + ["f" * digits] for b in (0, 1)]
+    # a hex string starts at its most significant digit, so the last D comes first
+    top_first = list(itertools.combinations(range(n), d + 1))[::-1]
+    table = []
+    for x in range(n):
+        where = [dset.index(x) if x in dset else -1 for dset in top_first]
+        table.append((int("".join(half[0][j] for j in where), 16),
+                      int("".join(half[1][j] for j in where), 16)))
+    return tuple(table)
+
+
+def _trace_vectors(masks: Iterable[int], n: int, d: int) -> Iterator[int]:
+    """Each concept's packed trace vector: the bit of its trace on every (d+1)-subset of [n].
+
+    Concepts with the same trace on D set the same bit of D's field, so the
+    popcount of the OR of a class's vectors is its number of distinct
+    traces summed over all D: the trace count of decide_order.  The vectors
+    are yielded one at a time, so an OR over them holds one at a time.
+    """
+    table = _value_masks(n, d)
+    for c in masks:
+        v = -1
+        for pair in table:
+            v &= pair[c & 1]
+            c >>= 1
+        yield v
+
+
+@functools.cache
+def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Per (d+1)-subset D of [n], lexicographically: its instances (0-based), the
+    indices of the d-subsets inside D in the lexicographic list of d-subsets, and
+    the candidate bits outside D, as the complement of those inside."""
+    index = {cm: s for s, cm in enumerate(_subset_masks(n, d))}
+    groups = []
+    for dset in itertools.combinations(range(n), d + 1):
+        dmask = sum(1 << x for x in dset)
+        inside = tuple(index[dmask ^ (1 << x)] for x in dset)
+        groups.append((dset, inside, ~sum(1 << s for s in inside)))
+    return tuple(groups)
+
+
 def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int,
                           deadline: float | None) -> bool:
     """True when a tied trace count leaves a trace on some (d+1)-set without a carrier.
 
     A cell is the set of concepts sharing one trace on one (d+1)-set D; at a
-    tie exactly one of them takes a d-set inside D.  alive[s] holds the
-    concepts that may still take candidate s and dom[i] the candidates
-    concept i may still take, so a cell's possible carriers are its concepts
-    alive at some s inside D.  A lone carrier is confined to the candidates
-    inside D, which can strip other cells of their carriers.  This repeats
-    until nothing changes or a cell has no carrier left; since the cells
-    number exactly |masks| * (n-d) at a tie, that is when fewer traces than
-    the count needs still have a carrier.
+    tie exactly one of them takes a d-set inside D.  The cells of D come
+    from splitting the whole class on the column (the concepts containing
+    x) of each instance x of D.  alive[s] holds the concepts that may still
+    take candidate s and dom[i] the candidates concept i may still take, so
+    a cell's possible carriers are its concepts alive at some s inside D.  A
+    lone carrier is confined to the candidates inside D, which can strip
+    other cells of their carriers.  This repeats until nothing changes or a
+    cell has no carrier left; since the cells number exactly |masks| * (n-d)
+    at a tie, that is when fewer traces than the count needs still have a
+    carrier.
     """
     full = (1 << len(masks)) - 1
-    index = {cm: s for s, cm in enumerate(_subset_masks(n, d))}
-    alive = [full] * len(index)
-    dom = [(1 << len(index)) - 1] * len(masks)
-    groups: list[tuple[list[int], int, Iterable[int]]] = []
-    for dmask in _subset_masks(n, d + 1):
-        inside: list[int] = []
-        outside = -1  # candidate bits not inside D, as the complement of those inside
-        b = dmask
-        while b:
-            low = b & -b
-            s = index[dmask ^ low]
-            inside.append(s)
-            outside ^= 1 << s
-            b ^= low
-        share: dict[int, int] = {}
-        bit = 1
-        for c in masks:
-            t = c & dmask
-            share[t] = share.get(t, 0) | bit
-            bit <<= 1
-        groups.append((inside, outside, share.values()))
+    columns = [0] * n
+    bit = 1
+    for c in masks:
+        while c:
+            low = c & -c
+            columns[low.bit_length() - 1] |= bit
+            c ^= low
+        bit <<= 1
+    ncand = comb(n, d)
+    alive = [full] * ncand
+    dom = [(1 << ncand) - 1] * len(masks)
+    groups: list[tuple[tuple[int, ...], int, list[int]]] = []
+    for dset, inside, outside in _carrier_groups(n, d):
+        cells = [full]
+        for x in dset:
+            column = columns[x]
+            split = []
+            for cell in cells:
+                on = cell & column
+                if on:
+                    split.append(on)
+                if on != cell:
+                    split.append(cell ^ on)
+            cells = split
+        groups.append((inside, outside, cells))
     steps = 0
     changed = True
     while changed:
@@ -241,14 +311,19 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
     d-sets S, S' lie inside one (d+1)-set D differ on S | S', which is S or
     D, so D holds at most |{c & D}| of them.  Each d-set lies in n-d of the
     D, so an admissible teacher needs the sum of |{c & D}| over all D to
-    reach |masks| * (n-d).
+    reach |masks| * (n-d).  The sum is the popcount of the OR of the
+    concepts' packed trace vectors (_trace_vectors).  verify_dim1 and
+    max_class_search apply the same count to each class before calling
+    here, so the classes it refutes never reach this function from them.
 
     When the sum equals |masks| * (n-d), every D must be filled to that
     capacity: each trace on D is carried by exactly one concept whose d-set
     lies inside D.  A concept that is the only remaining possible carrier of
     a trace on D must therefore take a d-set inside D, which can leave
     another trace, on another D, with no carrier at all; order d is then
-    refuted without a search.  This rule only refutes: the search still
+    refuted without a search.  The propagation reads each (d+1)-set's
+    instances and candidates from tables cached per (n, d), and the
+    deadline every 1,024 sets.  This rule only refutes: the search still
     starts from full domains.
     """
     m = len(masks)
@@ -260,16 +335,14 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
         if sol is not None:
             return sol
 
-    if 0 < d < n and m > 1:
-        need = m * (n - d)
-        room = 0
-        for dmask in _subset_masks(n, d + 1):
-            room += len({c & dmask for c in masks})
-            if room > need:
-                break
-        else:
-            if room < need or _lone_carriers_refute(masks, n, d, deadline):
-                return None
+    need = m * (n - d)
+    # each (d+1)-set holds a trace, and one holding an instance on which two
+    # concepts differ holds two: with need or more (d+1)-sets the count
+    # neither falls short nor ties, and its vectors are not built
+    if 0 < d < n and m > 1 and comb(n, d + 1) < need:
+        room = functools.reduce(operator.or_, _trace_vectors(masks, n, d)).bit_count()
+        if room < need or room == need and _lone_carriers_refute(masks, n, d, deadline):
+            return None
 
     cands = list(_subset_masks(n, d))
     ncand = len(cands)

@@ -333,6 +333,12 @@ def test_search_maxclass_exact():
     assert outcome.text.splitlines()[0] == "M_NC(3,1) = 6"
 
 
+def test_search_maxclass_power_set_exits_ok():
+    outcome = dispatch(["search", "maxclass", "--n", "3", "--d", "3"])
+    assert outcome.code == EXIT_OK
+    assert outcome.text.splitlines()[0] == "M_NC(3,3) = 8"
+
+
 def test_search_maxclass_inconclusive():
     outcome = dispatch(["search", "maxclass", "--n", "5", "--d", "1"])
     assert outcome.code == EXIT_BUDGET

@@ -195,6 +195,16 @@ def test_max_class_search_dim2_at_n3_is_full_power_set():
     assert res.status == "exact" and res.size == 8
 
 
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (5, 3)])
+def test_max_class_search_power_set_is_exact(n, d):
+    # the greedy takes every concept, so the lower bound meets upper = 2^n
+    # and the power set, its own canonical form, is the only witness
+    res = max_class_search(n, d)
+    assert (res.status, res.size, res.lower, res.upper) == ("exact", 1 << n, 1 << n, 1 << n)
+    (kc,) = res.witnesses
+    assert kc.masks == tuple(range(1 << n))
+
+
 def test_max_class_search_inconclusive_over_budget():
     res = max_class_search(5, 1)
     assert res.status == "inconclusive"

@@ -5,8 +5,10 @@ their assigned sets; a teacher is admissible when no pair clashes.  The
 dimension NCTD(k) is the least order any admissible teacher can have.
 """
 
+import functools
 import hashlib
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -41,7 +43,7 @@ from teachlab import (
     serialize_teacher,
 )
 from teachlab.cli import EXIT_BUDGET, main
-from teachlab.ncteach import _greedy_order1, _lone_carriers_refute
+from teachlab.ncteach import _greedy_order1, _lone_carriers_refute, _trace_vectors, _value_masks
 
 from oracles import brute_nctd
 
@@ -183,6 +185,28 @@ def _trace_room(masks, n: int, d: int) -> int:
                for dset in itertools.combinations(range(1, n + 1), d + 1))
 
 
+def test_packed_trace_count_matches_counting_traces_by_sets():
+    rng = random.Random(909)
+    cases = []
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(24, 1 << n)))
+        cases += [(masks, n, d) for d in range(1, n)]
+    cases += [(combo, 4, d) for combo in itertools.combinations(range(16), 8) for d in (1, 2, 3)]
+    for masks, n, d in cases:
+        packed = functools.reduce(operator.or_, _trace_vectors(masks, n, d)).bit_count()
+        assert packed == _trace_room(masks, n, d)
+
+
+def test_trace_vectors_are_not_built_when_the_sets_outnumber_the_need():
+    # C(16, 7) = 11,440 seven-sets against a need of 2 * 10: the count can
+    # neither fall short nor tie, so no 1.5-Mbit trace vectors are built
+    before = _value_masks.cache_info()
+    assert decide_order([0, 1], 16, 6) is not None
+    after = _value_masks.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
 def test_decide_order_refutes_exactly_above_brute_force_nctd():
     rng = random.Random(20261018)
     fired = 0
@@ -259,6 +283,18 @@ def test_lone_carriers_refute_most_tied_classes_over_4():
             refuted += 1
             assert frozenset(combo) not in tournament_classes
     assert (tied, refuted) == (4961, 4704)
+
+
+def test_carrier_propagation_reads_its_deadline():
+    # the greedy fails and the count ties on this shuffled tournament class,
+    # so the propagation runs, over 1,035 (d+1)-sets: it reads the clock
+    # after 1,024 of them, before the search can start
+    masks = list(class2(random_tournament(46, 0)).masks)
+    random.Random(0).shuffle(masks)
+    assert _greedy_order1(masks, 46) is None
+    assert _trace_room(masks, 46, 1) == len(masks) * 45
+    with pytest.raises(TimeoutError, match="order-1 carrier propagation hit its deadline"):
+        decide_order(masks, 46, 1, deadline=time.monotonic() - 1)
 
 
 def test_tied_classes_agree_with_milp():
