@@ -4,13 +4,14 @@ A teaching set for C within class CC must intersect every difference set
 {x : C(x) != C'(x)} over competitors C' in CC.  td_min and rtd search all
 concepts at once by splitting cells of agreeing concepts (see _easiest).
 td_of, td_max and teaching_report need each concept's own minimum and its
-lexicographically least witness: a minimum hitting set of the difference
-masks, by branching on the smallest uncovered mask with a greedy
-disjoint-packing lower bound, on an explicit stack (see _hit_decision).
-The kernel takes only the masks and a budget: the witness is built
-instance by instance, and once x is chosen the masks left to hit keep only
-their instances above x.  rtd_bruteforce uses that kernel too, so it stays
-a reference independent of rtd.
+lexicographically least witness.  The minimum is a minimum hitting set of
+the difference masks, by branching on the smallest uncovered mask with a
+greedy disjoint-packing lower bound, on an explicit stack (see
+_hit_decision); rtd_bruteforce uses that kernel too, so it stays a
+reference independent of rtd.  The witness then comes from one search at
+the known size that takes instances in increasing order (see
+_lex_min_witness).  Every search loop reads the search budget
+(errors.budget).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 
 __all__ = [
     "TeachingReport",
@@ -44,11 +45,14 @@ def _hit_decision(masks: list[int], budget: int) -> bool:
     greedy disjoint-packing lower bound.  A node descends straight into its
     first instance and stacks a [masks, budget, untried instances] frame; a
     failed node resumes the top frame, which is popped when its last
-    instance is taken.  Callers that forbid some instances clear them from
-    the masks first, so an emptied mask cannot be hit.
+    instance is taken.  An empty mask cannot be hit.
     """
     stack: list[list] = []
+    nodes = 0
     while True:
+        if not nodes & 1023:
+            check_budget("hitting-set search")
+        nodes += 1
         if not masks:
             return True
         bits = 0
@@ -95,22 +99,56 @@ def _min_hit_size(masks: list[int], n: int) -> int:
     raise AssertionError("difference family not hittable by the full domain")
 
 
-def _lex_min_witness(masks: list[int], size: int, n: int) -> int:
-    """Lexicographically least hitting set of the given (minimal) size, as a mask."""
-    chosen = 0
-    remaining = masks
-    floor = 0
-    for slot in range(size, 0, -1):
-        for x in range(floor + 1, n + 2 - slot):
-            bit = 1 << (x - 1)
-            rest = [m & (-1 << x) for m in remaining if not m & bit]
-            if _hit_decision(rest, slot - 1):
-                chosen |= bit
-                remaining = rest
-                floor = x
+def _lex_min_witness(masks: list[int], size: int) -> int:
+    """Lexicographically least hitting set of the given minimal size, as a mask.
+
+    One include-first search over increasing instances, on an explicit stack
+    of [masks left to hit, picks so far, untried candidates] frames, so its
+    first leaf is the least witness.  A pick can be no later than the lowest
+    top instance of the masks left, since later picks only grow.  Picking x
+    keeps the masks x misses, cut to their instances above x; the pick is
+    pruned when a cut mask is empty or a greedy disjoint packing of the cut
+    masks needs more picks than are left.
+    """
+    stack: list[list] = []
+    rest, chosen = masks, 0
+    backtracks = 0
+    while rest:
+        top = min(m.bit_length() for m in rest)
+        cands = 0
+        for m in rest:
+            cands |= m
+        stack.append([rest, chosen, cands & ((1 << top) - 1)])
+        while True:
+            if not stack:
+                raise AssertionError("witness construction lost feasibility")
+            frame = stack[-1]
+            rest, chosen, cands = frame
+            if not cands:
+                stack.pop()
+                if not backtracks & 1023:
+                    check_budget("lex-least witness search")
+                backtracks += 1
+                continue
+            low = cands & -cands
+            frame[2] = cands ^ low
+            above = -(low << 1)
+            left = size - chosen.bit_count() - 1
+            kept = []
+            packed = packing = 0
+            for m in rest:
+                if m & low:
+                    continue
+                m &= above
+                if m & packed == 0:
+                    if m == 0 or packing == left:
+                        break
+                    packed |= m
+                    packing += 1
+                kept.append(m)
+            else:
+                rest, chosen = kept, chosen | low
                 break
-        else:
-            raise AssertionError("witness construction lost feasibility")
     return chosen
 
 
@@ -133,11 +171,14 @@ def _easiest(k: ConceptClass, live: int, first: bool) -> tuple[int, int]:
     rows = [f"{m:0{k.n}b}"[::-1] for m in k.masks]
     cols = (int("".join(col)[::-1], 2) & live for col in zip(*rows))
     splitters = [h for h in cols if h and h != live]
-    s = found = 0
+    s = found = nodes = 0
     while not found:
         s += 1
         stack = [(live, 0, s)]
         while stack:
+            if not nodes & 1023:
+                check_budget("teaching-set search")
+            nodes += 1
             cell, start, budget = stack.pop()
             for j in range(start, len(splitters)):
                 a = cell & splitters[j]
@@ -165,7 +206,7 @@ def td_of(k: ConceptClass, c: Concept) -> tuple[int, frozenset[int]]:
     i = k.index_of(c)
     diffs = _sorted_diffs(k.masks, i)
     size = _min_hit_size(diffs, k.n)
-    return size, mask_to_instances(_lex_min_witness(diffs, size, k.n))
+    return size, mask_to_instances(_lex_min_witness(diffs, size))
 
 
 def td_min(k: ConceptClass) -> int:

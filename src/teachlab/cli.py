@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .bounds import bound_report
 from .classical import rtd, rtd_bruteforce, teaching_report
-from .concepts import ConceptClass, parse_class, serialize_class
-from .errors import BudgetError, FormatError, PropertyViolation
+from .concepts import ConceptClass, mask_to_instances, parse_class, serialize_class
+from .errors import BudgetError, FormatError, PropertyViolation, budget
 from .experiments import (
     ExperimentConfig,
     claim_scan,
@@ -35,7 +35,7 @@ from .experiments import (
     verify_dim1,
 )
 from .johnson import h_max, serialize_family
-from .ncteach import NCTeacher, _first_clash, nctd, parse_teacher, serialize_teacher
+from .ncteach import NCTeacher, _first_clash, decide_order, nctd, parse_teacher, serialize_teacher
 from .tournaments import (
     Tournament,
     class1,
@@ -102,16 +102,6 @@ def _job_count(raw: str) -> int:
         raise argparse.ArgumentTypeError(
             f"need a whole number of worker processes >= 1, got {raw!r}")
     return jobs
-
-
-def _default_timeout() -> float | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return _budget_secs(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise FormatError(str(exc)) from None
 
 
 def _read_class(path: str) -> ConceptClass:
@@ -203,8 +193,7 @@ def _teacher_json(t: NCTeacher) -> list[dict]:
 
 def _cmd_nctd(args) -> CommandOutcome:
     k = _read_class(args.class_file)
-    timeout = args.timeout if args.timeout is not None else _default_timeout()
-    res = nctd(k, d_max=args.max_d, timeout=timeout)
+    res = nctd(k, d_max=args.max_d)
     emitted = None
     if res.status == "exact" and args.emit_teacher:
         if res.teacher is None:
@@ -299,14 +288,10 @@ def _cmd_tournament_recover(args) -> CommandOutcome:
     if args.teacher:
         t = _align_teacher(k, _read_teacher(args.teacher, k))
     else:
-        res = nctd(k, d_max=1, timeout=_default_timeout())
-        if res.status == "timeout":
-            raise BudgetError("search for an order-1 teacher timed out")
-        if res.status != "exact":
+        sol = decide_order(k.masks, k.n, 1)
+        if sol is None:
             raise PropertyViolation("class admits no order-1 no-clash teacher")
-        if res.teacher is None:
-            raise AssertionError("nctd reported an exact value without a teacher")
-        t = res.teacher
+        t = NCTeacher(k, tuple(mask_to_instances(s) for s in sol))
     g = recover_tournament(k, t)
     if args.json:
         return CommandOutcome(EXIT_OK, json.dumps(_tournament_json(g)))
@@ -453,7 +438,7 @@ def _cmd_experiment_tau(args) -> CommandOutcome:
 
 
 def _cmd_verify_dim1(args) -> CommandOutcome:
-    rep = verify_dim1(args.n, prefilter=args.prefilter)
+    rep = verify_dim1(args.n)
     code = EXIT_OK if rep.ok else EXIT_PROPERTY
     if args.json:
         return CommandOutcome(code, json.dumps({
@@ -503,6 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def leaf(owner, name: str, handler, help: str):
         p = owner.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
+        p.add_argument("--timeout", type=_budget_secs, metavar="SECS",
+                       help=f"search budget; exit 3 when it runs out (default from ${BUDGET_ENV})")
         p.set_defaults(handler=handler)
         return p
 
@@ -520,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "nctd", _cmd_nctd, "no-clash teaching dimension")
     p.add_argument("--class", dest="class_file", required=True, metavar="FILE")
     p.add_argument("--max-d", type=int, metavar="D")
-    p.add_argument("--timeout", type=_budget_secs, metavar="SECS",
-                   help=f"default from ${BUDGET_ENV}")
     p.add_argument("--emit-teacher", metavar="FILE")
 
     p = leaf(sub, "verify-teacher", _cmd_verify_teacher, "check teacher admissibility")
@@ -592,8 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = leaf(vsub, "dim1", _cmd_verify_dim1, "dimension-1 maximum classes are tournament classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prefilter", action="store_true",
-                   help="skip classes not closed under complement")
 
     s = sub.add_parser("search", help="exhaustive searches")
     ssub = s.add_subparsers(dest="subcommand", required=True)
@@ -608,12 +591,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> CommandOutcome:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        secs = args.timeout
+        if secs is None:
+            secs = _budget_secs(os.environ.get(BUDGET_ENV, "inf"))
+        with budget(secs):
+            return args.handler(args)
     except PropertyViolation as exc:
         return CommandOutcome(EXIT_PROPERTY, f"error: {exc}")
     except BudgetError as exc:
         return CommandOutcome(EXIT_BUDGET, f"error: {exc}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         return CommandOutcome(EXIT_INPUT, f"error: {exc}")
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -47,7 +46,7 @@ from .concepts import (
     instances_to_mask,
     mask_to_instances,
 )
-from .errors import FormatError
+from .errors import BudgetError, FormatError, check_budget
 
 __all__ = [
     "NCTeacher",
@@ -230,8 +229,7 @@ def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(groups)
 
 
-def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int,
-                          deadline: float | None) -> bool:
+def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) -> bool:
     """True when a tied trace count leaves a trace on some (d+1)-set without a carrier.
 
     A cell is the set of concepts sharing one trace on one (d+1)-set D; at a
@@ -277,9 +275,9 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int,
     while changed:
         changed = False
         for inside, outside, cells in groups:
+            if not steps & 1023:
+                check_budget(f"order-{d} carrier propagation")
             steps += 1
-            if deadline is not None and steps & 1023 == 0 and time.monotonic() > deadline:
-                raise TimeoutError(f"order-{d} carrier propagation hit its deadline")
             reach = 0
             for s in inside:
                 reach |= alive[s]
@@ -300,12 +298,11 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int,
     return False
 
 
-def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
-                 deadline: float | None = None) -> list[int] | None:
+def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int] | None:
     """Instance-set masks of an admissible order-d teacher, in concept order.
 
     Returns None when no admissible assignment of d-subsets exists.  Raises
-    TimeoutError when the monotonic-clock deadline passes mid-search.
+    BudgetError when the search budget runs out (see errors.budget).
 
     Before searching, a trace count may refute order d.  Two concepts whose
     d-sets S, S' lie inside one (d+1)-set D differ on S | S', which is S or
@@ -322,9 +319,8 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
     a trace on D must therefore take a d-set inside D, which can leave
     another trace, on another D, with no carrier at all; order d is then
     refuted without a search.  The propagation reads each (d+1)-set's
-    instances and candidates from tables cached per (n, d), and the
-    deadline every 1,024 sets.  This rule only refutes: the search still
-    starts from full domains.
+    instances and candidates from tables cached per (n, d).  This rule only
+    refutes: the search still starts from full domains.
     """
     m = len(masks)
     if m == 0:
@@ -341,7 +337,7 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
     # neither falls short nor ties, and its vectors are not built
     if 0 < d < n and m > 1 and comb(n, d + 1) < need:
         room = functools.reduce(operator.or_, _trace_vectors(masks, n, d)).bit_count()
-        if room < need or room == need and _lone_carriers_refute(masks, n, d, deadline):
+        if room < need or room == need and _lone_carriers_refute(masks, n, d):
             return None
 
     cands = list(_subset_masks(n, d))
@@ -404,9 +400,9 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
             continue
         low = avail & -avail
         frame[1] = avail ^ low
+        if not nodes & 1023:
+            check_budget(f"order-{d} teacher search")
         nodes += 1
-        if deadline is not None and nodes & 1023 == 0 and time.monotonic() > deadline:
-            raise TimeoutError(f"order-{d} teacher search hit its deadline")
         ci = low.bit_length() - 1
         smask = cands[ci]
         assigned[pick] = ci
@@ -439,8 +435,8 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int,
 class NctdResult:
     """Outcome of an NCTD search.
 
-    status is "exact" (d and teacher set), "exceeds_d_max", or "timeout";
-    lower_bound is the best verified bound in every case.
+    status is "exact" (d and teacher set), "exceeds_d_max", or "timeout"
+    (the search budget ran out); lower_bound is the best verified bound.
     """
 
     status: str
@@ -449,8 +445,11 @@ class NctdResult:
     lower_bound: int
 
 
-def nctd(k: ConceptClass, d_max: int | None = None, timeout: float | None = None) -> NctdResult:
-    """Exact no-clash teaching dimension of k, searched upward from the counting bound."""
+def nctd(k: ConceptClass, d_max: int | None = None) -> NctdResult:
+    """Exact no-clash teaching dimension of k, searched upward from the counting bound.
+
+    When the search budget runs out, the status is "timeout" (see NctdResult).
+    """
     if len(k) == 0:
         raise ValueError("nctd of an empty class")
     n = k.n
@@ -458,13 +457,12 @@ def nctd(k: ConceptClass, d_max: int | None = None, timeout: float | None = None
         d_max = n
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max must lie in 0..{n}")
-    deadline = None if timeout is None else time.monotonic() + timeout
     verified = nctd_lower_bound(k)
     masks = list(k.masks)
     for d in range(verified, d_max + 1):
         try:
-            sol = decide_order(masks, n, d, deadline)
-        except TimeoutError:
+            sol = decide_order(masks, n, d)
+        except BudgetError:
             return NctdResult("timeout", None, None, verified)
         if sol is not None:
             teacher = NCTeacher(k, tuple(mask_to_instances(s) for s in sol))

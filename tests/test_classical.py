@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,18 @@ def test_td_max_needs_no_call_depth(shallow_stack):
 def test_td_of_needs_no_call_depth(shallow_stack):
     size, witness = td_of(_empty_and_singletons(150), Concept(150, 0))
     assert size == 150 and witness == frozenset(range(1, 151))
+
+
+def test_lex_least_witnesses_come_from_one_search():
+    # one search per witness: a pick that leaves more disjoint masks than
+    # picks is dropped at its first such mask, so each singleton's witness
+    # costs about one pass over its masks
+    start = time.monotonic()
+    rep = teaching_report(_empty_and_singletons(400))
+    assert time.monotonic() - start < 3.0
+    assert rep.sizes == (400,) + (1,) * 400
+    singletons = tuple(frozenset({x}) for x in range(1, 401))
+    assert rep.witnesses == (frozenset(range(1, 401)),) + singletons
 
 
 def _report_inputs():

@@ -8,6 +8,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,8 +194,8 @@ def test_tournament_recover_non_tournament_class(tmp_path):
 
 
 def test_tournament_recover_find_teacher_timeout_is_a_budget_exit(tmp_path, monkeypatch):
-    # the greedy fails on this shuffled order and the order-1 decision
-    # passes its first deadline check (at step 1024), so a budget of 0 expires
+    # the greedy fails on this shuffled order, so the order-1 decision reaches
+    # its first budget check, where a budget of 0 has expired
     g = random_tournament(16, 0)
     masks = list(class2(g).masks)
     random.Random(0).shuffle(masks)
@@ -204,7 +205,7 @@ def test_tournament_recover_find_teacher_timeout_is_a_budget_exit(tmp_path, monk
     monkeypatch.setenv(BUDGET_ENV, "0")
     outcome = dispatch(argv)
     assert outcome.code == EXIT_BUDGET
-    assert outcome.text == "error: search for an order-1 teacher timed out"
+    assert outcome.text == "error: order-1 carrier propagation hit its deadline"
     monkeypatch.delenv(BUDGET_ENV)
     outcome = dispatch(argv)
     assert outcome.code == EXIT_OK
@@ -389,10 +390,48 @@ def test_timeout_flag_rejects_nan_negative_and_text(half3, raw, capsys):
 def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
     monkeypatch.setenv(BUDGET_ENV, raw)
     for argv in (["nctd", "--class", str(half3)],
-                 ["tournament", "recover", "--class", str(half3), "--find-teacher"]):
+                 ["tournament", "recover", "--class", str(half3), "--find-teacher"],
+                 ["td", "--class", str(half3)],
+                 ["bounds", "--n", "4", "--d", "2"]):
         outcome = dispatch(argv)
         assert outcome.code == EXIT_INPUT
         assert BUDGET_ENV in outcome.text
+
+
+# every search subcommand on an input it cannot finish within the budget; the
+# budget is read every 1,024 search nodes, so a run may overshoot it a little
+SLOW_SEARCHES = {
+    "td": ["td", "--class", "{c400}"],
+    "rtd": ["rtd", "--class", "{c400}"],
+    "nctd": ["nctd", "--class", "{c400}"],
+    "recover": ["tournament", "recover", "--class", "{shuffled46}", "--find-teacher"],
+    "hmax": ["johnson", "hmax", "--n", "9", "--k", "4", "--t", "3"],
+    "tdmin": ["experiment", "tdmin", "--n", "128", "--trials", "1000", "--seed", "1",
+              "--jobs", "2"],
+    "tau": ["experiment", "tau", "--n", "128", "--trials", "100000", "--seed", "1", "--k", "3"],
+    "maxclass": ["search", "maxclass", "--n", "6", "--d", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_SEARCHES))
+def test_every_search_stops_at_its_timeout(name, tmp_path, capsys):
+    budget_s, slack = 0.5, 1.0
+    # 400 seeded concepts over [40]; the class2 of a 46-vertex tournament in a
+    # shuffled order, on which the order-1 greedy fails
+    c400 = tmp_path / "c400.cls"
+    c400.write_text(serialize_class(ConceptClass.from_masks(
+        random.Random(40).sample(range(1 << 40), 400), 40)), encoding="ascii")
+    masks = list(class2(random_tournament(46, 0)).masks)
+    random.Random(0).shuffle(masks)
+    shuffled46 = tmp_path / "shuffled46.cls"
+    shuffled46.write_text(serialize_class(ConceptClass.from_masks(masks, 46)), encoding="ascii")
+    argv = [arg.format(c400=c400, shuffled46=shuffled46) for arg in SLOW_SEARCHES[name]]
+    start = time.monotonic()
+    assert main(argv + ["--timeout", str(budget_s)]) == EXIT_BUDGET
+    assert budget_s <= time.monotonic() - start < budget_s + slack
+    out, err = capsys.readouterr()
+    assert "hit its deadline" in out or "search timed out" in out
+    assert "Traceback" not in out + err
 
 
 def test_import_does_not_load_multiprocessing():

@@ -164,15 +164,6 @@ def test_verify_dim1_n3_distinct_sets():
         assert frozenset(class2(g).masks) in rep.passing
 
 
-def test_verify_dim1_prefilter_equivalent():
-    # the prefilter drops candidates that cannot pass; verdicts agree
-    fast, slow = verify_dim1(3, prefilter=True), verify_dim1(3)
-    assert fast.passing == slow.passing
-    assert fast.expected == slow.expected
-    assert fast.ok == slow.ok
-    assert fast.candidates <= slow.candidates
-
-
 def test_verify_dim1_budget():
     with pytest.raises(BudgetError):
         verify_dim1(5)

@@ -21,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachlab import (
+    BudgetError,
     Concept,
     ConceptClass,
     FormatError,
     NCTeacher,
     all_tournaments,
+    budget,
     clash,
     class1,
     class2,
@@ -279,7 +281,7 @@ def test_lone_carriers_refute_most_tied_classes_over_4():
         if _greedy_order1(combo, 4) is not None or _trace_room(combo, 4, 1) != 24:
             continue
         tied += 1
-        if _lone_carriers_refute(combo, 4, 1, None):
+        if _lone_carriers_refute(combo, 4, 1):
             refuted += 1
             assert frozenset(combo) not in tournament_classes
     assert (tied, refuted) == (4961, 4704)
@@ -287,14 +289,15 @@ def test_lone_carriers_refute_most_tied_classes_over_4():
 
 def test_carrier_propagation_reads_its_deadline():
     # the greedy fails and the count ties on this shuffled tournament class,
-    # so the propagation runs, over 1,035 (d+1)-sets: it reads the clock
-    # after 1,024 of them, before the search can start
+    # so the propagation runs, over 1,035 (d+1)-sets: it reads the budget
+    # at its first set and every 1,024, before the search can start
     masks = list(class2(random_tournament(46, 0)).masks)
     random.Random(0).shuffle(masks)
     assert _greedy_order1(masks, 46) is None
     assert _trace_room(masks, 46, 1) == len(masks) * 45
-    with pytest.raises(TimeoutError, match="order-1 carrier propagation hit its deadline"):
-        decide_order(masks, 46, 1, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetError, match="order-1 carrier propagation hit its deadline"):
+        with budget(0):
+            decide_order(masks, 46, 1)
 
 
 def test_tied_classes_agree_with_milp():
@@ -314,7 +317,7 @@ def test_tied_classes_agree_with_milp():
             ok = order_feasible(masks, n, 1)
             assert (decide_order(masks, n, 1) is not None) == ok
             feasible += ok
-            refuted += _greedy_order1(masks, n) is None and _lone_carriers_refute(masks, n, 1, None)
+            refuted += _greedy_order1(masks, n) is None and _lone_carriers_refute(masks, n, 1)
         assert (feasible, refuted) == (5, expect_refuted)
 
 
@@ -342,7 +345,8 @@ def test_deadline_stops_a_long_order2_search(tmp_path):
     # two traces to spare: the count does not tie, so only the search runs
     assert _trace_room(k.masks, 5, 2) == 26 * 3 + 2
     start = time.monotonic()
-    res = nctd(k, timeout=0.5)
+    with budget(0.5):
+        res = nctd(k)
     assert 0.5 <= time.monotonic() - start < 0.5 + slack
     assert (res.status, res.d, res.teacher, res.lower_bound) == ("timeout", None, None, 2)
     path = tmp_path / "slow.cls"
