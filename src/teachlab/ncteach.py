@@ -11,14 +11,15 @@ so the distinct traces summed over all D must cover every concept n-d
 times.  The sum is the popcount of the OR of packed trace vectors: one int
 per concept with a field of 2^(d+1) bits per D, the AND of n masks cached
 per (n, d).  The exhaustive enumerations in experiments build the vectors
-of all 2^n concepts once and apply the count themselves, so decide_order
-sees only the classes it leaves open.  When the sum ties exactly, every D
-holds one concept per trace, and a concept that is the only possible
-carrier of some trace on D must take a d-set inside D; propagating this,
-over tables of each D's instances and candidates cached per (n, d), until
-some trace has no carrier left refutes most tied classes: 4,704 of the
-4,936 tied 2n-concept classes over [4] that the greedy leaves open and
-that are not tournament classes.
+of all 2^n concepts once and apply the count themselves, once per orbit of
+classes under XOR by a concept mask (which keeps every clash), so
+decide_order sees one class per orbit that the count leaves open.  When
+the sum ties exactly, every D holds one concept per trace, and a concept
+that is the only possible carrier of some trace on D must take a d-set
+inside D; propagating this, over tables of each D's instances and
+candidates cached per (n, d), until some trace has no carrier left
+refutes most tied classes: 4,704 of the 4,936 tied 2n-concept classes
+over [4] that the greedy leaves open and that are not tournament classes.
 Otherwise it backtracks over concepts with forward checking, on an explicit
 stack: each concept's surviving candidates are a bitmask over the
 lexicographic list of d-subsets, the concept with the fewest survivors is
@@ -310,8 +311,9 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     D, so an admissible teacher needs the sum of |{c & D}| over all D to
     reach |masks| * (n-d).  The sum is the popcount of the OR of the
     concepts' packed trace vectors (_trace_vectors).  verify_dim1 and
-    max_class_search apply the same count to each class before calling
-    here, so the classes it refutes never reach this function from them.
+    max_class_search apply the same count once per translation orbit of
+    classes (every concept XORed with one mask), and call here once per
+    orbit it leaves open, since translating a class keeps every clash.
 
     When the sum equals |masks| * (n-d), every D must be filled to that
     capacity: each trace on D is carried by exactly one concept whose d-set

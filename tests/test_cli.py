@@ -328,6 +328,12 @@ def test_verify_dim1_over_budget():
     assert outcome.code == EXIT_BUDGET
 
 
+def test_verify_dim1_below_1_is_an_input_error():
+    outcome = dispatch(["verify", "dim1", "--n", "0"])
+    assert outcome.code == EXIT_INPUT
+    assert "need n >= 1" in outcome.text
+
+
 def test_search_maxclass_exact():
     outcome = dispatch(["search", "maxclass", "--n", "3", "--d", "1"])
     assert outcome.code == EXIT_OK

@@ -4,11 +4,13 @@ The scans work in exact rational or log-space arithmetic so that the
 reported onsets are decisions, not float artifacts.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from teachlab import experiments
 from teachlab import (
     BudgetError,
     ExperimentConfig,
@@ -30,7 +32,7 @@ from teachlab import (
     verify_dim1,
 )
 
-from oracles import pattern_unique_exists
+from oracles import brute_nctd, pattern_unique_exists
 
 
 def test_threshold_k_frozen_value():
@@ -167,8 +169,53 @@ def test_verify_dim1_n3_distinct_sets():
 def test_verify_dim1_budget():
     with pytest.raises(BudgetError):
         verify_dim1(5)
-    with pytest.raises(BudgetError):
-        verify_dim1(0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_verify_dim1_rejects_n_below_1(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        verify_dim1(n)
+
+
+# every (n, d, size) that verify_dim1 and max_class_search enumerate at n <= 4,
+# plus neighbouring sizes at order 1 and the order-2 sizes 14-16 over [4]
+@pytest.mark.parametrize("n, d, size", [(1, 1, 2), (2, 1, 4), (3, 1, 6), (4, 1, 7), (4, 1, 8),
+                                        (4, 1, 9), (4, 2, 14), (4, 2, 15), (4, 2, 16)])
+def test_decided_classes_match_a_decision_per_class(n, d, size):
+    plain = [(combo, experiments.decide_order(list(combo), n, d) is not None)
+             for combo in itertools.combinations(range(1 << n), size)]
+    assert list(experiments._decided_classes(n, d, size)) == plain
+
+
+def test_translating_a_class_keeps_its_nctd():
+    # XORing every concept with one mask keeps every c ^ c', and a clash reads
+    # only c ^ c' and the union of the two sets
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(7, 1 << n)))
+        least = brute_nctd(masks, n)
+        for v in rng.sample(range(1 << n), min(3, 1 << n)):
+            moved = [c ^ v for c in masks]
+            assert brute_nctd(moved, n) == least
+            for d in range(n + 1):
+                assert (experiments.decide_order(moved, n, d) is None) == (least > d)
+
+
+def test_verify_dim1_decides_once_per_translation_orbit(monkeypatch):
+    # 12,870 classes of 8 concepts over [4]; the order-1 trace count leaves
+    # 4,962 open, and they fall into 335 translation orbits
+    calls = []
+    decide = experiments.decide_order
+
+    def counting(masks, n, d):
+        calls.append(len(masks))
+        return decide(masks, n, d)
+
+    monkeypatch.setattr(experiments, "decide_order", counting)
+    rep = verify_dim1(4)
+    assert rep.candidates == 12870 and rep.ok
+    assert len(calls) == 335
 
 
 def test_max_class_search_dim1_matches_2n():
