@@ -1,16 +1,26 @@
 """Teaching dimension, its extremes over a class, and the recursive variant.
 
 A teaching set for C within class CC must intersect every difference set
-{x : C(x) != C'(x)} over competitors C' in CC.  td_min and rtd search all
-concepts at once by splitting cells of agreeing concepts (see _easiest).
-td_of, td_max and teaching_report need each concept's own minimum and its
-lexicographically least witness.  The minimum is a minimum hitting set of
-the difference masks, by branching on the smallest uncovered mask with a
-greedy disjoint-packing lower bound, on an explicit stack (see
-_hit_decision); rtd_bruteforce uses that kernel too, so it stays a
-reference independent of rtd.  The witness then comes from one search at
-the known size that takes instances in increasing order (see
-_lex_min_witness).  Every search loop reads the search budget
+{x : C(x) != C'(x)} over competitors C' in CC.  Two kernels serve the
+functions here, and they share no search code:
+
+- Cell splitting.  An increasing instance sequence in which each instance
+  splits the cell of concepts agreeing on the ones before it; a concept
+  alone in its part is taught by the sequence, and every minimum teaching
+  set is such a sequence.  td_min deepens until any concept is alone
+  (_easiest).  teaching_report and td_max deepen once over all concepts,
+  walking sequences in lexicographic order so each concept's first is its
+  least witness (_isolate).  rtd peels at a rising threshold with the same
+  walk.  The columns that split a set of concepts are built in one place
+  (_splitters).
+- Hitting sets, per concept.  td_of's minimum is a minimum hitting set of
+  the difference masks, by branching on the smallest uncovered mask with a
+  greedy disjoint-packing lower bound (_hit_decision); its witness comes
+  from one include-first search at the known size (_lex_min_witness).
+  rtd_bruteforce uses the decision too, so both stay references
+  independent of the cell-splitting searches.
+
+Every search is a loop on an explicit stack that reads the search budget
 (errors.budget).
 """
 
@@ -156,23 +166,53 @@ def _sorted_diffs(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
     return sorted(_diff_masks(masks, i), key=int.bit_count)
 
 
-def _easiest(k: ConceptClass, live: int, first: bool) -> tuple[int, int]:
-    """td_min within `live` (a bitset over concept indices) and the concepts attaining it.
+def _packing(masks: list[int]) -> list[int]:
+    """A greedy set of pairwise disjoint masks: a teaching set takes one instance from each."""
+    packed = 0
+    out = []
+    for m in masks:
+        if m & packed == 0:
+            packed |= m
+            out.append(m)
+    return out
+
+
+def _splitters(k: ConceptClass, live: int) -> tuple[list[int], list[int]]:
+    """The instances that split `live` (a bitset over concept indices), as two lists.
+
+    The first holds each instance's column, the concepts of live containing
+    it; the second the instance.  Of instances that split live the same way
+    (equal or complementary columns) only the first is kept: any splitting
+    sequence through a later one has a lexicographically smaller twin
+    through the first.
+    """
+    # column x: the bitset of concepts containing instance x+1, by transposing bitstrings
+    rows = [f"{m:0{k.n}b}"[::-1] for m in k.masks]
+    cols, xs, seen = [], [], set()
+    for x, col in enumerate(zip(*rows), 1):
+        h = int("".join(col)[::-1], 2) & live
+        key = min(h, live ^ h)
+        if key and key not in seen:
+            seen.add(key)
+            cols.append(h)
+            xs.append(x)
+    return cols, xs
+
+
+def _easiest(k: ConceptClass, live: int) -> int:
+    """td_min within `live` (a bitset over concept indices).
 
     Iterative deepening over increasing instance sequences in which each
     instance splits the cell of concepts agreeing on the ones before it; a
     one-concept part at depth s is a teaching set of size s.  Every minimum
     teaching set is such a sequence, since an instance that does not split
-    its cell could be dropped.  With first, only the first concept found.
+    its cell could be dropped.
     """
     if live & (live - 1) == 0:
-        return 0, live
-    # column x: the bitset of concepts containing instance x+1, by transposing bitstrings
-    rows = [f"{m:0{k.n}b}"[::-1] for m in k.masks]
-    cols = (int("".join(col)[::-1], 2) & live for col in zip(*rows))
-    splitters = [h for h in cols if h and h != live]
-    s = found = nodes = 0
-    while not found:
+        return 0
+    splitters = _splitters(k, live)[0]
+    s = nodes = 0
+    while True:
         s += 1
         stack = [(live, 0, s)]
         while stack:
@@ -186,12 +226,94 @@ def _easiest(k: ConceptClass, live: int, first: bool) -> tuple[int, int]:
                     continue
                 for part in (a, cell ^ a):
                     if part & (part - 1) == 0:
-                        if first:
-                            return s, part
-                        found |= part
-                    elif budget > 1:
+                        return s
+                    if budget > 1:
                         stack.append((part, j + 1, budget - 1))
-    return s, found
+
+
+def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, want: int,
+             peel: bool) -> dict[int, int]:
+    """Find the concepts of `want` that splitting sequences of length <= s leave alone.
+
+    Depth-first over the increasing sequences of splitters (indices into
+    cols) that split the cells under `root`, on an explicit stack of [cell,
+    next splitter, depth left, splitters so far, candidates] frames that
+    takes splitters in increasing order, so sequences are met in
+    lexicographic order.  A concept of want met alone in its part leaves
+    want, and its sequence is recorded as a mask of splitter indices: the
+    first such sequence is the lexicographically least.
+
+    A frame's candidates are its concepts of want not yet ruled out, and a
+    frame without any is dropped.  packs[c], if given, holds pairwise
+    disjoint masks of the splitters that tell c from some other concept.
+    Each mask the sequence has not hit needs a later splitter of its own, so
+    c leaves a frame (of depth left >= 2) once such masks outnumber the
+    depth left or one has no later splitter.  With peel, want is the live
+    class itself, and every cell is cut to it as it is resumed.  Returns the
+    recorded sequences, keyed by concept bit.
+    """
+    found: dict[int, int] = {}
+    stack = [[root, 0, s, 0, root & want]]
+    nodes = 0
+    while stack and want:
+        if not nodes & 1023:
+            check_budget("teaching-set search")
+        nodes += 1
+        frame = stack[-1]
+        cell, j, budget, path, cands = frame
+        cands &= want
+        if peel:
+            cell &= want
+            if cell & (cell - 1) == 0:
+                if cell:
+                    want ^= cell
+                    found[cell] = path
+                stack.pop()
+                continue
+        if not cands:
+            stack.pop()
+            continue
+        if budget == 1:
+            # a leaf's children are parts at depth s: no frames, just singletons
+            stack.pop()
+            for j in range(j, len(cols)):
+                a = cell & cols[j]
+                if a and a != cell:
+                    for part in (a, cell ^ a):
+                        if part & (part - 1) == 0 and part & want:
+                            want ^= part
+                            found[part] = path | 1 << j
+            continue
+        for j in range(j, len(cols)):
+            a = cell & cols[j]
+            if a and a != cell:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[1] = j + 1
+        path |= 1 << j
+        for part in (a, cell ^ a):
+            if part & (part - 1) == 0:
+                if part & want:
+                    want ^= part
+                    found[part] = path
+                continue
+            part_cands = part & cands
+            c = part_cands if packs and budget > 2 else 0
+            while c:
+                low = c & -c
+                c ^= low
+                unhit = 0
+                for d in packs[low.bit_length() - 1]:
+                    if not d & path:
+                        unhit += 1
+                        if unhit == budget or not d >> j:
+                            part_cands ^= low
+                            break
+            if part_cands:
+                stack.append([part, j + 1, budget - 1, path, part_cands])
+    return found
 
 
 def is_teaching_set(k: ConceptClass, c: Concept, s) -> bool:
@@ -213,14 +335,14 @@ def td_min(k: ConceptClass) -> int:
     """min over concepts C of TD(C, k), by iterative deepening over set sizes."""
     if len(k) == 0:
         raise ValueError("td_min of an empty class")
-    return _easiest(k, (1 << len(k)) - 1, first=True)[0]
+    return _easiest(k, (1 << len(k)) - 1)
 
 
 def td_max(k: ConceptClass) -> int:
     """max over concepts C of TD(C, k)."""
     if len(k) == 0:
         raise ValueError("td_max of an empty class")
-    return max(_min_hit_size(_sorted_diffs(k.masks, i), k.n) for i in range(len(k)))
+    return teaching_report(k).td
 
 
 @dataclass(frozen=True)
@@ -247,31 +369,65 @@ class TeachingReport:
 
 
 def teaching_report(k: ConceptClass) -> TeachingReport:
-    if len(k) == 0:
+    """Every concept's TD and lex-least witness, from one deepening over all concepts.
+
+    Level s walks the increasing splitting sequences of length s in
+    lexicographic order (_isolate); the first to leave an open concept alone
+    is its least witness, and its TD is s.  Each concept's greedy
+    disjoint-packing bound keeps it out of the levels below it, and the
+    levels skip to the least bound of the open concepts.
+    """
+    m = len(k)
+    if m == 0:
         raise ValueError("teaching report of an empty class")
-    sizes = []
-    witnesses = []
-    for c in k:
-        size, w = td_of(k, c)
-        sizes.append(size)
-        witnesses.append(w)
+    full = (1 << m) - 1
+    cols, xs = _splitters(k, full)
+    rows = [0] * m  # concept -> the splitters that contain it
+    for j, h in enumerate(cols):
+        for i in mask_to_instances(h):
+            rows[i - 1] |= 1 << j
+    packs = []
+    for i in range(m):
+        check_budget("teaching-set search")
+        packs.append(_packing(_sorted_diffs(rows, i)))
+    bounds = [len(p) for p in packs]
+    sizes = [0] * m
+    witnesses = [frozenset()] * m
+    todo = list(range(m)) if m > 1 else []
+    while todo:
+        s = min(bounds[i] for i in todo)
+        want = sum(1 << i for i in todo if bounds[i] == s)
+        for bit, path in _isolate(cols, packs, full, s, want, peel=False).items():
+            i = bit.bit_length() - 1
+            sizes[i] = s
+            witnesses[i] = frozenset(xs[j - 1] for j in mask_to_instances(path))
+        todo = [i for i in todo if sizes[i] == 0]
+        for i in todo:
+            bounds[i] = max(bounds[i], s + 1)
     return TeachingReport(k, tuple(sizes), tuple(witnesses))
 
 
 def rtd(k: ConceptClass) -> int:
-    """Recursive teaching dimension: peel easiest-to-teach concepts, track the max.
+    """Recursive teaching dimension, by peeling at a rising threshold L.
 
-    Each round removes every concept whose teaching dimension within the
-    remaining class equals that class's td_min; the empty remainder
-    contributes 0.
+    A pass over the live class removes each concept as soon as a splitting
+    sequence of length <= L leaves it alone; L rises only after a pass
+    removes nothing, which shows td_min of the live class exceeds L.  The
+    last L is exact: RTD(C) is the maximum of td_min over the nonempty
+    subclasses of C, and the first concept of any subclass to be removed
+    had a teaching set of size <= L within a superset of it.
     """
-    live = (1 << len(k)) - 1
-    best = 0
+    if len(k) == 0:
+        raise ValueError("rtd of an empty class")
+    if len(k) == 1:
+        return 0
+    live, level = (1 << len(k)) - 1, 1
     while live:
-        s, easiest = _easiest(k, live, first=False)
-        best = max(best, s)
-        live &= ~easiest
-    return best
+        removed = sum(_isolate(_splitters(k, live)[0], None, live, level, live, peel=True))
+        if not removed:
+            level += 1
+        live ^= removed
+    return level
 
 
 def rtd_bruteforce(k: ConceptClass) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import bound_report
-from .classical import rtd, rtd_bruteforce, teaching_report
+from .classical import rtd, rtd_bruteforce, td_of, teaching_report
 from .concepts import ConceptClass, mask_to_instances, parse_class, serialize_class
 from .errors import BudgetError, FormatError, PropertyViolation, budget
 from .experiments import (
@@ -125,20 +125,20 @@ def _witness_str(w) -> str:
 
 def _cmd_td(args) -> CommandOutcome:
     k = _read_class(args.class_file)
-    rep = teaching_report(k)
     if args.concept is not None:
         if not 0 <= args.concept < len(k):
             raise ValueError(f"concept index {args.concept} outside 0..{len(k) - 1}")
         i = args.concept
         c = k.concepts[i]
+        size, witness = td_of(k, c)
         if args.json:
             return CommandOutcome(EXIT_OK, json.dumps({
                 "n": k.n, "index": i, "concept": c.to_string(),
-                "td": rep.sizes[i], "witness": sorted(rep.witnesses[i]),
+                "td": size, "witness": sorted(witness),
             }))
         return CommandOutcome(EXIT_OK, (
-            f"concept {i} {c.to_string()}: td={rep.sizes[i]}"
-            f" witness={_witness_str(rep.witnesses[i]) or '-'}"))
+            f"concept {i} {c.to_string()}: td={size} witness={_witness_str(witness) or '-'}"))
+    rep = teaching_report(k)
     if args.csv:
         lines = ["concept_index,td,witness"]
         for i in range(len(k)):

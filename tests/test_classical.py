@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from teachlab import (
     Concept,
     ConceptClass,
+    class1,
     class2,
     is_teaching_set,
     linear_tournament,
+    nctd,
     random_tournament,
     rtd,
     rtd_bruteforce,
@@ -133,6 +135,45 @@ def test_teaching_report_outputs_match_recorded_digest():
         count += 1
     assert count == 1546
     assert h.hexdigest() == "745541e668ebdabc345a3f88ae712d673d83b8ef582a985b8ab39d9c4942fe54"
+
+
+@pytest.mark.parametrize("fn", [td_min, td_max, teaching_report, rtd, rtd_bruteforce])
+def test_empty_class_is_refused(fn):
+    with pytest.raises(ValueError):
+        fn(ConceptClass(3, ()))
+
+
+def test_rtd_of_empty_class_names_rtd():
+    with pytest.raises(ValueError, match="rtd of an empty class"):
+        rtd(ConceptClass(3, ()))
+
+
+def _cross_check_inputs():
+    for n, seeds in ((24, (0, 1)), (32, (0, 1)), (48, (0,))):
+        for s in seeds:
+            g = random_tournament(n, s)
+            yield class1(g)
+            yield class2(g)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        yield _random_class(rng, n_max=10, size_max=40)[0]
+
+
+def test_report_agrees_with_per_concept_hitting_sets():
+    # the report (cell splitting) and td_of (hitting sets) share no search code
+    for k in _cross_check_inputs():
+        rep = teaching_report(k)
+        per_concept = [td_of(k, c) for c in k]
+        assert list(zip(rep.sizes, rep.witnesses)) == per_concept
+        assert td_max(k) == max(size for size, _ in per_concept)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rtd_separates_from_nctd_on_tournament_classes(seed):
+    # the paper's separation: RTD grows with n on tournament classes while NCTD stays 1
+    k = class1(random_tournament(64, seed))
+    assert rtd(k) == 3
+    assert nctd(k).d == 1
 
 
 def test_is_teaching_set_requires_membership():

@@ -60,6 +60,19 @@ def test_td_single_concept_by_index(half3):
     assert outcome.text == "concept 3 111: td=2 witness=1 3"
 
 
+def test_td_single_concept_matches_the_report(tmp_path):
+    # --concept runs one concept's search; its output must equal the report's entry
+    path = tmp_path / "c2.cls"
+    path.write_text(serialize_class(class2(random_tournament(12, 3))), encoding="ascii")
+    report = json.loads(dispatch(["td", "--class", str(path), "--json"]).text)
+    lines = dispatch(["td", "--class", str(path)]).text.splitlines()
+    for entry in report["concepts"]:
+        i = str(entry["index"])
+        single = json.loads(dispatch(["td", "--class", str(path), "--concept", i, "--json"]).text)
+        assert single == {"n": report["n"], **entry}
+        assert dispatch(["td", "--class", str(path), "--concept", i]).text == lines[1 + entry["index"]]
+
+
 def test_td_concept_index_out_of_range(half3):
     outcome = dispatch(["td", "--class", str(half3), "--concept", "6"])
     assert outcome.code == EXIT_INPUT
