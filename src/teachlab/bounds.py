@@ -160,10 +160,12 @@ def bound_report(n: int, d: int, t: int | None = None) -> BoundReport:
     """Assemble the bound family for one (n, d); t defaults to the optimizing value.
 
     At d = 1 the refinement does not apply (no valid t), so gub degenerates
-    to the counting bound with h = 1.
+    to the counting bound with h = 1, and an explicit t is refused.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if t is not None and not 2 <= t <= d:
+        raise ValueError(f"need 2 <= t <= d, got t={t}, d={d}")
     ksz = ksz_bound(n, d)
     if d == 1:
         return BoundReport(n, d, None, ksz, Fraction(ksz), improved_factor(1),

@@ -6,8 +6,9 @@ reproducible and trials are order-independent (safe to parallelize).  The
 exhaustive searches (dimension-1 characterization, maximum-class search)
 enumerate concept classes directly as subsets of the 2^n concept masks and
 lean on the order-d teacher decision procedure, once per orbit of classes
-under XOR by a concept mask, which keeps every clash; they apply its trace
-count themselves from trace vectors built once for all 2^n concepts.
+under the symmetries of the n-cube (domain permutations and XOR by a
+concept mask), which keep every clash; they apply its trace count
+themselves from trace vectors built once for all 2^n concepts.
 Maximum witnesses are reported as canonical forms under domain permutation.
 
 The threshold and claim arithmetic uses base-2 logarithms throughout.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bounds import ksz_bound
 from .classical import td_min
@@ -351,69 +352,6 @@ def _count_refutes(n: int, d: int, size: int) -> Callable[[tuple[int, ...]], boo
     return lambda combo: reduce(operator.or_, map(vectors.__getitem__, combo)).bit_count() < need
 
 
-def _decided_classes(n: int, d: int, size: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Every size-concept class over [n], in itertools.combinations order,
-    with whether it has an order-d teacher.
-
-    XORing every concept with one mask v keeps every difference c ^ c', and
-    a clash reads only c ^ c' and S | S', so a class and its translate by v
-    have the same teachers and the same trace count.  Each class is looked
-    up by its 2^n-bit class mask; the first class of a translation orbit
-    runs the trace count and, when the count leaves it open, decide_order,
-    and its verdict is stored under the mask of every translate.  A
-    Gray-code walk over v reaches them: flipping bit i of v swaps each
-    block of 2^i concepts without instance i+1 with the block above it.
-    The verdicts live for this call only.
-    """
-    total = 1 << n
-    refuted = _count_refutes(n, d, size)
-    bits = [1 << c for c in range(total)]
-    # per step of the walk: the block width and the concepts without the flipped instance
-    swaps = [(1 << i, sum(b for c, b in enumerate(bits) if not c >> i & 1))
-             for i in ((v & -v).bit_length() - 1 for v in range(1, total))]
-    # one byte per class mask: 0 undecided, 1 refuted, 2 admissible; 64 KB at
-    # n = 4, the largest n that verify_dim1 and max_class_search enumerate
-    verdicts = bytearray(1 << total)
-    for combo in itertools.combinations(range(total), size):
-        key = sum(map(bits.__getitem__, combo))
-        verdict = verdicts[key]
-        if not verdict:
-            verdict = 1 if refuted(combo) or decide_order(list(combo), n, d) is None else 2
-            verdicts[key] = verdict
-            for width, low in swaps:
-                key = (key & low) << width | key >> width & low
-                verdicts[key] = verdict
-        yield combo, verdict == 2
-
-
-def verify_dim1(n: int) -> Dim1Report:
-    """Enumerate all 2n-concept classes over [n]; compare the order-1 admissible
-    ones against the tournament-induced classes.
-
-    Every class is counted as a candidate and decided, one call to
-    decide_order per translation orbit (_decided_classes).  At n = 4 the
-    12,870 classes fall into 870 orbits; the order-1 trace count refutes
-    535 of them (7,908 classes) and decide_order the other 335 (4,962
-    classes).  n = 4 takes about 0.05 s, where a call per class the count
-    leaves open took 0.25 s.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > 4:
-        raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")
-    size = 2 * n
-    full = (1 << n) - 1
-    candidates = 0
-    passing: set[frozenset[int]] = set()
-    for combo, ok in _decided_classes(n, 1, size):
-        candidates += 1
-        if ok:
-            passing.add(frozenset(combo))
-    expected = frozenset(frozenset(class2(g).masks) for g in all_tournaments(n))
-    closed = all(all((full ^ m) in cls for m in cls) for cls in passing)
-    return Dim1Report(n, candidates, frozenset(passing), expected, closed)
-
-
 def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
     while mask:
@@ -421,6 +359,86 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
         mask ^= low
         out |= 1 << perm[low.bit_length() - 1]
     return out
+
+
+def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The number of size-concept classes over [n], counted as they are
+    decided, and those with an order-d teacher, as combination tuples in
+    itertools.combinations order.
+
+    A clash reads only c ^ c' and S | S'.  XORing every concept with one mask
+    v keeps every c ^ c', and permuting the instances maps each set S to its
+    image and keeps every clash too.  So the images of a class under the
+    cube group (the n! permutations composed with the 2^n translations) have
+    the same teachers and the same trace count.  Each class is looked up by
+    its 2^n-bit class mask; the first class of an orbit runs the trace count
+    and, when the count leaves it open, decide_order, and its verdict is
+    stored under the mask of every image.  For each permutation a Gray-code
+    walk over v starts from the permuted class: flipping bit i of v swaps
+    each block of 2^i concepts without instance i+1 with the block above it.
+    The scan stops once every class has a verdict, which at (4, 1, 8) is
+    after 5,279 of the 12,870 combinations.  The verdicts live for this call
+    only.
+    """
+    total = 1 << n
+    refuted = _count_refutes(n, d, size)
+    # per permutation, the identity first: the bit of each concept's image
+    images = [[1 << _apply_perm(c, perm) for c in range(total)]
+              for perm in itertools.permutations(range(n))]
+    bits = images[0]
+    # per step of the walk: the block width and the concepts without the flipped instance
+    swaps = [(1 << i, sum(b for c, b in enumerate(bits) if not c >> i & 1))
+             for i in ((v & -v).bit_length() - 1 for v in range(1, total))]
+    # one byte per class mask: 0 undecided, 1 refuted, 2 admissible; 64 KB at
+    # n = 4, the largest n that verify_dim1 and max_class_search enumerate
+    verdicts = bytearray(1 << total)
+    classes, decided = comb(total, size), 0
+    for combo in itertools.combinations(range(total), size):
+        if verdicts[sum(map(bits.__getitem__, combo))]:
+            continue
+        verdict = 1 if refuted(combo) or decide_order(list(combo), n, d) is None else 2
+        for image in images:
+            key = sum(map(image.__getitem__, combo))
+            if verdicts[key]:
+                continue  # written with its whole translation orbit
+            verdicts[key] = verdict
+            decided += 1
+            for width, low in swaps:
+                key = (key & low) << width | key >> width & low
+                if not verdicts[key]:
+                    verdicts[key] = verdict
+                    decided += 1
+        if decided == classes:
+            break
+    passing = []
+    key = verdicts.find(2)
+    while key >= 0:
+        passing.append(tuple(c for c in range(total) if key >> c & 1))
+        key = verdicts.find(2, key + 1)
+    return decided, sorted(passing)
+
+
+def verify_dim1(n: int) -> Dim1Report:
+    """Enumerate all 2n-concept classes over [n]; compare the order-1 admissible
+    ones against the tournament-induced classes.
+
+    Every class is counted as a candidate as it is decided, one call to
+    decide_order per orbit of the cube group (_decided_classes).  At n = 4
+    the 12,870 classes fall into 74 orbits; the order-1 trace count refutes
+    41 of them (7,908 classes) and decide_order the other 33 (4,962
+    classes).  n = 4 takes about 0.015 s.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 4:
+        raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")
+    size = 2 * n
+    full = (1 << n) - 1
+    candidates, admissible = _decided_classes(n, 1, size)
+    passing = frozenset(map(frozenset, admissible))
+    expected = frozenset(frozenset(class2(g).masks) for g in all_tournaments(n))
+    closed = all(all((full ^ m) in cls for m in cls) for cls in passing)
+    return Dim1Report(n, candidates, passing, expected, closed)
 
 
 def _canonical_class(masks, n: int) -> tuple[int, ...]:
@@ -450,10 +468,9 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     power set, which settles the search at once.  Otherwise the enumeration
     is budgeted for n <= 4 and d <= 2; beyond that only the greedy
     lower-bound witness and the counting upper bound are reported.  Each
-    size is decided one translation orbit at a time (_decided_classes):
-    at (4, 1) the 12,870 classes of size 8 need 335 calls to decide_order,
-    and the search takes about 0.05 s, where it took 0.25 s with a call per
-    class the trace count leaves open.
+    size is decided one orbit of the cube group at a time
+    (_decided_classes): at (4, 1) the 12,870 classes of size 8 need 33
+    calls to decide_order, and the search takes about 0.02 s.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -470,7 +487,7 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     if n > 4 or d > 2:
         return MaxClassResult(n, d, "inconclusive", None, (witness,), lower, upper)
     for size in range(upper, lower - 1, -1):
-        passing = [combo for combo, ok in _decided_classes(n, d, size) if ok]
+        _, passing = _decided_classes(n, d, size)
         if passing:
             canon = sorted({_canonical_class(c, n) for c in passing})
             witnesses = tuple(ConceptClass.from_masks(c, n) for c in canon)

@@ -12,8 +12,9 @@ times.  The sum is the popcount of the OR of packed trace vectors: one int
 per concept with a field of 2^(d+1) bits per D, the AND of n masks cached
 per (n, d).  The exhaustive enumerations in experiments build the vectors
 of all 2^n concepts once and apply the count themselves, once per orbit of
-classes under XOR by a concept mask (which keeps every clash), so
-decide_order sees one class per orbit that the count leaves open.  When
+classes under domain permutations and XOR by a concept mask (which keep
+every clash), so decide_order sees one class per orbit that the count
+leaves open.  When
 the sum ties exactly, every D holds one concept per trace, and a concept
 that is the only possible carrier of some trace on D must take a d-set
 inside D; propagating this, over tables of each D's instances and
@@ -311,9 +312,10 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     D, so an admissible teacher needs the sum of |{c & D}| over all D to
     reach |masks| * (n-d).  The sum is the popcount of the OR of the
     concepts' packed trace vectors (_trace_vectors).  verify_dim1 and
-    max_class_search apply the same count once per translation orbit of
-    classes (every concept XORed with one mask), and call here once per
-    orbit it leaves open, since translating a class keeps every clash.
+    max_class_search apply the same count once per orbit of classes under
+    the cube group (instances permuted, every concept XORed with one mask),
+    and call here once per orbit it leaves open, since both maps keep every
+    clash.
 
     When the sum equals |masks| * (n-d), every D must be filled to that
     capacity: each trace on D is carried by exactly one concept whose d-set

@@ -267,6 +267,14 @@ def test_bounds_csv_d1_leaves_t_empty(capsys):
     assert lines[1] == "6,1,,12,12,1,1,upper-bound"
 
 
+@pytest.mark.parametrize("n, d, t", [(3, 1, 9), (3, 1, -4), (5, 3, 9), (5, 3, 1)])
+def test_bounds_t_outside_2_to_d_is_an_input_error(n, d, t):
+    # at d = 1 no t applies; at d >= 2 the message names d, not h_max's k
+    outcome = dispatch(["bounds", "--n", str(n), "--d", str(d), "--t", str(t)])
+    assert outcome.code == EXIT_INPUT
+    assert outcome.text == f"error: need 2 <= t <= d, got t={t}, d={d}"
+
+
 def test_experiment_tdmin_csv_golden(capsys):
     code = main(["experiment", "tdmin", "--n", "6", "--trials", "3", "--seed", "42",
                  "--out", "-"])
@@ -421,7 +429,7 @@ def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
 # budget is read every 1,024 search nodes, so a run may overshoot it a little
 SLOW_SEARCHES = {
     "td": ["td", "--class", "{c400}"],
-    "rtd": ["rtd", "--class", "{c400}"],
+    "rtd": ["rtd", "--class", "{c800}"],
     "nctd": ["nctd", "--class", "{c400}"],
     "recover": ["tournament", "recover", "--class", "{shuffled46}", "--find-teacher"],
     "hmax": ["johnson", "hmax", "--n", "9", "--k", "4", "--t", "3"],
@@ -435,16 +443,18 @@ SLOW_SEARCHES = {
 @pytest.mark.parametrize("name", sorted(SLOW_SEARCHES))
 def test_every_search_stops_at_its_timeout(name, tmp_path, capsys):
     budget_s, slack = 0.5, 1.0
-    # 400 seeded concepts over [40]; the class2 of a 46-vertex tournament in a
+    # 400 seeded concepts over [40], and 800 for rtd, which finishes the 400
+    # too soon after the budget; the class2 of a 46-vertex tournament in a
     # shuffled order, on which the order-1 greedy fails
-    c400 = tmp_path / "c400.cls"
-    c400.write_text(serialize_class(ConceptClass.from_masks(
-        random.Random(40).sample(range(1 << 40), 400), 40)), encoding="ascii")
+    c400, c800 = tmp_path / "c400.cls", tmp_path / "c800.cls"
+    for path, m in ((c400, 400), (c800, 800)):
+        path.write_text(serialize_class(ConceptClass.from_masks(
+            random.Random(40).sample(range(1 << 40), m), 40)), encoding="ascii")
     masks = list(class2(random_tournament(46, 0)).masks)
     random.Random(0).shuffle(masks)
     shuffled46 = tmp_path / "shuffled46.cls"
     shuffled46.write_text(serialize_class(ConceptClass.from_masks(masks, 46)), encoding="ascii")
-    argv = [arg.format(c400=c400, shuffled46=shuffled46) for arg in SLOW_SEARCHES[name]]
+    argv = [arg.format(c400=c400, c800=c800, shuffled46=shuffled46) for arg in SLOW_SEARCHES[name]]
     start = time.monotonic()
     assert main(argv + ["--timeout", str(budget_s)]) == EXIT_BUDGET
     assert budget_s <= time.monotonic() - start < budget_s + slack

@@ -4,7 +4,9 @@ The scans work in exact rational or log-space arithmetic so that the
 reported onsets are decisions, not float artifacts.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -184,7 +186,7 @@ def test_verify_dim1_rejects_n_below_1(n):
 def test_decided_classes_match_a_decision_per_class(n, d, size):
     plain = [(combo, experiments.decide_order(list(combo), n, d) is not None)
              for combo in itertools.combinations(range(1 << n), size)]
-    assert list(experiments._decided_classes(n, d, size)) == plain
+    assert experiments._decided_classes(n, d, size) == (len(plain), [c for c, ok in plain if ok])
 
 
 def test_translating_a_class_keeps_its_nctd():
@@ -202,9 +204,27 @@ def test_translating_a_class_keeps_its_nctd():
                 assert (experiments.decide_order(moved, n, d) is None) == (least > d)
 
 
-def test_verify_dim1_decides_once_per_translation_orbit(monkeypatch):
-    # 12,870 classes of 8 concepts over [4]; the order-1 trace count leaves
-    # 4,962 open, and they fall into 335 translation orbits
+def test_permuting_and_translating_a_class_keeps_its_nctd():
+    # permuting the instances maps each set S to its image and XORing every
+    # concept with one mask keeps every c ^ c', so every clash is kept
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(7, 1 << n)))
+        least = brute_nctd(masks, n)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            v = rng.randrange(1 << n)
+            moved = [experiments._apply_perm(c, tuple(perm)) ^ v for c in masks]
+            assert brute_nctd(moved, n) == least
+            for d in range(n + 1):
+                assert (experiments.decide_order(moved, n, d) is None) == (least > d)
+
+
+def test_verify_dim1_decides_once_per_symmetry_orbit(monkeypatch):
+    # 12,870 classes of 8 concepts over [4] fall into 74 orbits of the cube
+    # group; the order-1 trace count refutes 41 of them
     calls = []
     decide = experiments.decide_order
 
@@ -215,7 +235,29 @@ def test_verify_dim1_decides_once_per_translation_orbit(monkeypatch):
     monkeypatch.setattr(experiments, "decide_order", counting)
     rep = verify_dim1(4)
     assert rep.candidates == 12870 and rep.ok
-    assert len(calls) == 335
+    assert len(calls) == 33
+    calls.clear()
+    assert max_class_search(4, 1).size == 8
+    assert len(calls) == 16 + 33  # the greedy, then size 8
+    calls.clear()
+    assert verify_dim1(3).candidates == 28
+    assert len(calls) == 2
+
+
+def test_enumeration_outputs_match_recorded_digest():
+    # every verify_dim1 and max_class_search result at n <= 4, recorded
+    # before the enumerations decided once per orbit of the cube group
+    out = []
+    for n in range(1, 5):
+        rep = verify_dim1(n)
+        out.append([n, rep.candidates, sorted(sorted(c) for c in rep.passing),
+                    sorted(sorted(c) for c in rep.expected), rep.complement_closed])
+        for d in range(1, n + 1):
+            res = max_class_search(n, d)
+            out.append([n, d, res.status, res.size, res.lower, res.upper,
+                        [list(w.masks) for w in res.witnesses]])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "525714fc476e9a5e8536b25dbbb72cb5ea9906739346a76ba88c04f554e5c759"
 
 
 def test_max_class_search_dim1_matches_2n():
