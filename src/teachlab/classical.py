@@ -8,11 +8,13 @@ functions here, and they share no search code:
   splits the cell of concepts agreeing on the ones before it; a concept
   alone in its part is taught by the sequence, and every minimum teaching
   set is such a sequence.  td_min deepens until any concept is alone
-  (_easiest).  teaching_report and td_max deepen once over all concepts,
-  walking sequences in lexicographic order so each concept's first is its
-  least witness (_isolate).  rtd peels at a rising threshold with the same
-  walk.  The columns that split a set of concepts are built in one place
-  (_splitters).
+  (_easiest): it tries every last instance of a sequence at once, on the
+  columns packed in lanes of one int, and the smallest cells first.
+  teaching_report and td_max deepen once over all concepts, walking
+  sequences in lexicographic order so each concept's first is its least
+  witness (_isolate).  rtd peels at a rising threshold with the same walk.
+  The columns that split a set of concepts are built in one place
+  (_splitters), by one bit-matrix transpose of the class (_columns).
 - Hitting sets, per concept.  td_of's minimum is a minimum hitting set of
   the difference masks, by branching on the smallest uncovered mask with a
   greedy disjoint-packing lower bound (_hit_decision); its witness comes
@@ -27,6 +29,7 @@ Every search is a loop on an explicit stack that reads the search budget
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
 from .errors import BudgetError, check_budget
@@ -177,22 +180,74 @@ def _packing(masks: list[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=4)
+def _swap_masks(side: int, blocks: int) -> tuple[tuple[int, int], ...]:
+    """The (distance, mask) steps that transpose each of `blocks` side x side bit blocks.
+
+    The blocks sit side by side in `side` rows of blocks*side bits, bit x of
+    row i at i*blocks*side + x.  Step j (side/2, ..., 2, 1) swaps each bit
+    whose row has bit j clear and whose column has bit j set with the bit j
+    rows down and j columns left.
+    """
+    bb = side // 8
+    steps = []
+    j = side >> 1
+    while j:
+        row = sum(1 << x for x in range(side) if x & j).to_bytes(bb, "little") * blocks
+        rows = b"".join(bytes(len(row)) if i & j else row for i in range(side))
+        steps.append((j * (blocks * side - 1), int.from_bytes(rows, "little")))
+        j >>= 1
+    return tuple(steps)
+
+
+def _columns(masks: tuple[int, ...], n: int) -> list[int]:
+    """Each instance's column, the bitset of the concepts containing it, in instance order.
+
+    The bit matrix with a row per concept is padded with zeros and cut into
+    square blocks whose side is the power of two >= max(8, min(m, n)), so
+    the blocks run along one axis only.  They are laid side by side in one
+    int of `side` rows: row r strings together the matrix rows r, side + r,
+    2*side + r, ...  All are transposed in place at once by log2(side)
+    masked swaps (Warren, Hacker's Delight, 7-3).  Row r then holds column
+    r of each block in turn: all of instance r's column when the blocks run
+    down the concepts, the columns of instances r, side + r, ... when they
+    run across the instances.
+    """
+    m = len(masks)
+    side = max(8, 1 << (min(m, n) - 1).bit_length())
+    bb = side // 8
+    tall, wide = -(-m // side), -(-n // side)
+    rows = [c.to_bytes(wide * bb, "little") for c in masks]
+    rows += [bytes(wide * bb)] * (tall * side - m)
+    layout = [b""] * len(rows)
+    for p in range(tall):
+        layout[p::tall] = rows[p * side:(p + 1) * side]
+    a = int.from_bytes(b"".join(layout), "little")
+    for shift, mask in _swap_masks(side, tall * wide):
+        t = (a ^ a >> shift) & mask
+        a ^= t ^ t << shift
+    blob = a.to_bytes(tall * wide * side * bb, "little")
+    span, stride = tall * bb, tall * wide * bb
+    return [int.from_bytes(blob[at:at + span], "little")
+            for at in [r * stride + q * span for q in range(wide) for r in range(side)][:n]]
+
+
 def _splitters(k: ConceptClass, live: int) -> tuple[list[int], list[int]]:
     """The instances that split `live` (a bitset over concept indices), as two lists.
 
     The first holds each instance's column, the concepts of live containing
-    it; the second the instance.  Of instances that split live the same way
-    (equal or complementary columns) only the first is kept: any splitting
-    sequence through a later one has a lexicographically smaller twin
-    through the first.
+    it (_columns); the second the instance.  Of instances that split live
+    the same way (equal or complementary columns) only the first is kept:
+    any splitting sequence through a later one has a lexicographically
+    smaller twin through the first.
     """
-    # column x: the bitset of concepts containing instance x+1, by transposing bitstrings
-    rows = [f"{m:0{k.n}b}"[::-1] for m in k.masks]
-    cols, xs, seen = [], [], set()
-    for x, col in enumerate(zip(*rows), 1):
-        h = int("".join(col)[::-1], 2) & live
-        key = min(h, live ^ h)
-        if key and key not in seen:
+    cols, xs = [], []
+    seen = {live}  # a column's key: it or its complement, whichever holds live's first concept
+    low = live & -live
+    for x, h in enumerate(_columns(k.masks, k.n), 1):
+        h &= live
+        key = h if h & low else live ^ h
+        if key not in seen:
             seen.add(key)
             cols.append(h)
             xs.append(x)
@@ -206,29 +261,59 @@ def _easiest(k: ConceptClass, live: int) -> int:
     instance splits the cell of concepts agreeing on the ones before it; a
     one-concept part at depth s is a teaching set of size s.  Every minimum
     teaching set is such a sequence, since an instance that does not split
-    its cell could be dropped.
+    its cell could be dropped.  Level s runs after level s-1 found no
+    one-concept part, so only the last splitter can leave one alone.
+
+    A frame with one splitter left tests every later splitter at once.  The
+    splitter columns are packed into one int, column j in a lane of m+1
+    bits at j*(m+1) whose top bit is a guard; the cell is copied into every
+    later lane by one multiplication, and a lane x of the parts inside and
+    outside the column holds one concept when x != 0 and x & (x-1) == 0,
+    which the guard bits' borrows decide for all lanes together.  Other
+    frames push their parts so that the smallest is popped first: a level
+    that fails visits them all, and the level that succeeds meets a
+    one-concept part sooner.
     """
     if live & (live - 1) == 0:
         return 0
     splitters = _splitters(k, live)[0]
-    s = nodes = 0
-    while True:
-        s += 1
-        stack = [(live, 0, s)]
+    width = len(k) + 1
+    packed, span = splitters, width  # column j at bit j*width, merged pairwise
+    while len(packed) > 1:
+        pairs = iter(packed + [0] if len(packed) & 1 else packed)
+        packed = [lo | hi << span for lo, hi in zip(pairs, pairs)]
+        span <<= 1
+    packed = packed[0] if packed else 0
+    ones = ((1 << len(splitters) * width) - 1) // ((1 << width) - 1)  # bit 0 of every lane
+    guards = ones << (width - 1)
+    nodes = 0
+    for s in range(1, k.n + 1):
+        stack = [(0, live, 0, s)]
         while stack:
             if not nodes & 1023:
                 check_budget("teaching-set search")
             nodes += 1
-            cell, start, budget = stack.pop()
+            _, cell, start, budget = stack.pop()
+            if budget == 1:
+                shift = start * width
+                lanes, top = ones >> shift, guards >> shift
+                rep = cell * lanes
+                a = rep & packed >> shift
+                for x in (a, rep ^ a):
+                    d = (x | top) - lanes  # guard set: x != 0; below it, x - 1
+                    if (d ^ ((x & d | top) - lanes)) & top:  # ... and x & (x-1) == 0
+                        return s
+                continue
+            parts = []
             for j in range(start, len(splitters)):
                 a = cell & splitters[j]
-                if a == 0 or a == cell:
-                    continue
-                for part in (a, cell ^ a):
-                    if part & (part - 1) == 0:
-                        return s
-                    if budget > 1:
-                        stack.append((part, j + 1, budget - 1))
+                if a and a != cell:
+                    b = cell ^ a
+                    parts.append((a.bit_count(), a, j + 1, budget - 1))
+                    parts.append((b.bit_count(), b, j + 1, budget - 1))
+            parts.sort(reverse=True)
+            stack += parts
+    raise AssertionError("no concept alone after splitting on the whole domain")
 
 
 def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, want: int,

@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teachlab import classical
 from teachlab import (
+    BudgetError,
     Concept,
     ConceptClass,
+    budget,
     class1,
     class2,
     is_teaching_set,
     linear_tournament,
     nctd,
+    pattern_report,
     random_tournament,
     rtd,
     rtd_bruteforce,
@@ -197,6 +201,75 @@ def test_td_matches_bruteforce_randomized():
             assert (rep.sizes[i], rep.witnesses[i]) == brute_td(masks, i, n)
         assert td_min(k) == brute_td_min(masks, n)
         assert td_max(k) == brute_td_max(masks, n)
+
+
+def test_td_min_matches_bruteforce_across_lane_widths():
+    # td_min's last-level test packs each splitter column in a lane of m+1
+    # bits; these counts put lanes and their guard bits on either side of
+    # 30-bit digit and 64-bit word edges.  Random live sets hand the same
+    # lanes cells of fewer concepts than m.
+    rng = random.Random(20261019)
+    for m in (2, 3, 29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129):
+        for _ in range(3):
+            n = rng.randint((m - 1).bit_length(), 8)
+            masks = rng.sample(range(1 << n), m)
+            k = ConceptClass.from_masks(masks, n)
+            assert td_min(k) == brute_td_min(masks, n)
+            live = rng.getrandbits(m) | 1 << rng.randrange(m)
+            sub = [c for i, c in enumerate(masks) if live >> i & 1]
+            assert classical._easiest(k, live) == brute_td_min(sub, n)
+            assert td_min(ConceptClass.from_masks(sub, n)) == brute_td_min(sub, n)
+
+
+def _plain_splitters(masks, n, live):
+    cols, xs, seen = [], [], set()
+    for x in range(n):
+        h = sum(1 << i for i, c in enumerate(masks) if c >> x & 1) & live
+        key = min(h, live ^ h)
+        if key and key not in seen:
+            seen.add(key)
+            cols.append(h)
+            xs.append(x + 1)
+    return cols, xs
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 2), (5, 40), (9, 17), (12, 100), (8, 24),
+                                  (16, 8), (37, 23), (100, 7), (129, 65), (300, 9), (1000, 12)])
+def test_splitters_match_a_plain_column_build(m, n):
+    rng = random.Random(m * 1000 + n)
+    masks = []
+    while len(masks) < m:
+        c = rng.getrandbits(n)
+        if c not in masks:
+            masks.append(c)
+    k = ConceptClass.from_masks(masks, n)
+    for live in ((1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m)):
+        assert classical._splitters(k, live) == _plain_splitters(masks, n, live)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_td_min_matches_hitting_sets_at_benchmark_scale(seed):
+    # the per-concept hitting-set kernel shares no code with the splitting search
+    k = class1(random_tournament(64, seed))
+    masks = k.masks
+    assert td_min(k) == min(classical._min_hit_size(classical._sorted_diffs(masks, i), 64)
+                            for i in range(64))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_td_min_has_no_smaller_unique_pattern(seed):
+    # pattern_report counts traces on every k-set, with no splitting search
+    g = random_tournament(96, seed)
+    assert not pattern_report(g, td_min(class1(g)) - 1).unique_exists
+
+
+def test_td_min_stops_at_its_budget_at_large_n():
+    k = class1(random_tournament(512, 0))
+    start = time.monotonic()
+    with pytest.raises(BudgetError):
+        with budget(0.5):
+            td_min(k)
+    assert time.monotonic() - start < 0.5 + 1.0
 
 
 def test_rtd_between_td_min_and_td_max_and_log_bound():
