@@ -8,13 +8,14 @@ functions here, and they share no search code:
   splits the cell of concepts agreeing on the ones before it; a concept
   alone in its part is taught by the sequence, and every minimum teaching
   set is such a sequence.  td_min deepens until any concept is alone
-  (_easiest): it tries every last instance of a sequence at once, on the
-  columns packed in lanes of one int, and the smallest cells first.
-  teaching_report and td_max deepen once over all concepts, walking
-  sequences in lexicographic order so each concept's first is its least
-  witness (_isolate).  rtd peels at a rising threshold with the same walk.
-  The columns that split a set of concepts are built in one place
-  (_splitters), by one bit-matrix transpose of the class (_columns).
+  (_easiest), the smallest cells first.  teaching_report and td_max deepen
+  once over all concepts, walking sequences in lexicographic order so each
+  concept's first is its least witness (_isolate).  rtd peels at a rising
+  threshold with the same walk.  The columns that split a set of concepts
+  are built in one place (_splitters), by one bit-matrix transpose of the
+  class (_columns).  Both searches pack them in lanes of one int (_lanes)
+  and try every last instance of a sequence at once (_lone_lanes); td_min
+  also tests the parts of a sequence one short of its end directly.
 - Hitting sets, per concept.  td_of's minimum is a minimum hitting set of
   the difference masks, by branching on the smallest uncovered mask with a
   greedy disjoint-packing lower bound (_hit_decision); its witness comes
@@ -23,7 +24,8 @@ functions here, and they share no search code:
   independent of the cell-splitting searches.
 
 Every search is a loop on an explicit stack that reads the search budget
-(errors.budget).
+(errors.budget); the cell-splitting searches read it by the bits of lanes
+they handle, so frames over wide lanes read it more often.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
-from .errors import BudgetError, check_budget
+from .errors import _WORK_PER_READ, BudgetError, check_budget
 
 __all__ = [
     "TeachingReport",
@@ -254,6 +256,41 @@ def _splitters(k: ConceptClass, live: int) -> tuple[list[int], list[int]]:
     return cols, xs
 
 
+def _lanes(cols: list[int], width: int) -> tuple[int, int, int]:
+    """cols packed into one int, column j in the lane of `width` bits at j*width.
+
+    Returns it with the repunits that hold bit 0 and the top bit, the guard,
+    of every lane.  The columns are merged pairwise, in O(total * log len(cols))
+    bits.  A column holds no concept of index width-1 or above, so its guard is 0.
+    """
+    packed, span = cols, width
+    while len(packed) > 1:
+        pairs = iter(packed + [0] if len(packed) & 1 else packed)
+        packed = [lo | hi << span for lo, hi in zip(pairs, pairs)]
+        span <<= 1
+    ones = ((1 << len(cols) * width) - 1) // ((1 << width) - 1)
+    return packed[0] if packed else 0, ones, ones << (width - 1)
+
+
+def _lone_lanes(cell: int, shift: int, lanes: tuple[int, int, int]) -> int:
+    """The guard bits, shifted down by `shift`, of the lanes from bit `shift` on
+    whose column leaves one concept of `cell` alone on either side.
+
+    The cell is copied into every lane by one multiplication, and a lane x of
+    the parts inside and outside the column holds one concept when x != 0 and
+    x & (x-1) == 0, which the guards' borrows decide for all lanes together.
+    """
+    packed, ones, guards = lanes
+    ones, top = ones >> shift, guards >> shift
+    rep = cell * ones
+    a = rep & packed >> shift
+    lone = 0
+    for x in (a, rep ^ a):
+        d = (x | top) - ones  # guard set: x != 0; below it, x - 1
+        lone |= (d ^ ((x & d | top) - ones)) & top  # ... and x & (x-1) == 0
+    return lone
+
+
 def _easiest(k: ConceptClass, live: int) -> int:
     """td_min within `live` (a bitset over concept indices).
 
@@ -264,48 +301,47 @@ def _easiest(k: ConceptClass, live: int) -> int:
     its cell could be dropped.  Level s runs after level s-1 found no
     one-concept part, so only the last splitter can leave one alone.
 
-    A frame with one splitter left tests every later splitter at once.  The
-    splitter columns are packed into one int, column j in a lane of m+1
-    bits at j*(m+1) whose top bit is a guard; the cell is copied into every
-    later lane by one multiplication, and a lane x of the parts inside and
-    outside the column holds one concept when x != 0 and x & (x-1) == 0,
-    which the guard bits' borrows decide for all lanes together.  Other
-    frames push their parts so that the smallest is popped first: a level
-    that fails visits them all, and the level that succeeds meets a
-    one-concept part sooner.
+    The splitter columns are packed in lanes once (_lanes), so the last
+    splitter is every later one at once (_lone_lanes).  A frame with two
+    splitters left takes each later splitter in turn and lane-tests the two
+    parts it makes; other frames push their parts so that the smallest is
+    popped first: a level that fails visits them all, and the level that
+    succeeds meets a one-concept part sooner.  Each frame and each lane test
+    charges 1,024 plus the bits of the lanes or columns it reads, and the
+    budget is read once the charges pass _WORK_PER_READ: every 1,024 steps
+    over narrow lanes, every step over lanes of a million bits.
     """
     if live & (live - 1) == 0:
         return 0
     splitters = _splitters(k, live)[0]
-    width = len(k) + 1
-    packed, span = splitters, width  # column j at bit j*width, merged pairwise
-    while len(packed) > 1:
-        pairs = iter(packed + [0] if len(packed) & 1 else packed)
-        packed = [lo | hi << span for lo, hi in zip(pairs, pairs)]
-        span <<= 1
-    packed = packed[0] if packed else 0
-    ones = ((1 << len(splitters) * width) - 1) // ((1 << width) - 1)  # bit 0 of every lane
-    guards = ones << (width - 1)
-    nodes = 0
-    for s in range(1, k.n + 1):
+    count, width = len(splitters), live.bit_length() + 1
+    lanes = _lanes(splitters, width)
+    check_budget("teaching-set search")
+    if _lone_lanes(live, 0, lanes):
+        return 1
+    work = 0
+    for s in range(2, k.n + 1):
         stack = [(0, live, 0, s)]
         while stack:
-            if not nodes & 1023:
-                check_budget("teaching-set search")
-            nodes += 1
             _, cell, start, budget = stack.pop()
-            if budget == 1:
-                shift = start * width
-                lanes, top = ones >> shift, guards >> shift
-                rep = cell * lanes
-                a = rep & packed >> shift
-                for x in (a, rep ^ a):
-                    d = (x | top) - lanes  # guard set: x != 0; below it, x - 1
-                    if (d ^ ((x & d | top) - lanes)) & top:  # ... and x & (x-1) == 0
-                        return s
+            if budget == 2:
+                for j in range(start, count):
+                    a = cell & splitters[j]
+                    if a and a != cell:
+                        work += 1024 + (count - j) * width
+                        if work > _WORK_PER_READ:
+                            check_budget("teaching-set search")
+                            work = 0
+                        shift = (j + 1) * width
+                        if _lone_lanes(a, shift, lanes) or _lone_lanes(cell ^ a, shift, lanes):
+                            return s
                 continue
+            work += 1024 + (count - start) * width
+            if work > _WORK_PER_READ:
+                check_budget("teaching-set search")
+                work = 0
             parts = []
-            for j in range(start, len(splitters)):
+            for j in range(start, count):
                 a = cell & splitters[j]
                 if a and a != cell:
                     b = cell ^ a
@@ -326,7 +362,9 @@ def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, 
     takes splitters in increasing order, so sequences are met in
     lexicographic order.  A concept of want met alone in its part leaves
     want, and its sequence is recorded as a mask of splitter indices: the
-    first such sequence is the lexicographically least.
+    first such sequence is the lexicographically least.  A frame with one
+    splitter left lane-tests every later splitter at once (_lone_lanes) and
+    visits the lanes that leave a concept alone from the lowest up.
 
     A frame's candidates are its concepts of want not yet ruled out, and a
     frame without any is dropped.  packs[c], if given, holds pairwise
@@ -334,18 +372,22 @@ def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, 
     Each mask the sequence has not hit needs a later splitter of its own, so
     c leaves a frame (of depth left >= 2) once such masks outnumber the
     depth left or one has no later splitter.  With peel, want is the live
-    class itself, and every cell is cut to it as it is resumed.  Returns the
-    recorded sequences, keyed by concept bit.
+    class itself, and every cell is cut to it as it is resumed.  The budget
+    is read as in _easiest.  Returns the recorded sequences, keyed by
+    concept bit.
     """
     found: dict[int, int] = {}
+    count, width = len(cols), root.bit_length() + 1
+    lanes = _lanes(cols, width)
     stack = [[root, 0, s, 0, root & want]]
-    nodes = 0
+    work = _WORK_PER_READ  # read the budget at the first frame
     while stack and want:
-        if not nodes & 1023:
-            check_budget("teaching-set search")
-        nodes += 1
         frame = stack[-1]
         cell, j, budget, path, cands = frame
+        work += 1024 + (count - j) * width
+        if work > _WORK_PER_READ:
+            check_budget("teaching-set search")
+            work = 0
         cands &= want
         if peel:
             cell &= want
@@ -359,17 +401,19 @@ def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, 
             stack.pop()
             continue
         if budget == 1:
-            # a leaf's children are parts at depth s: no frames, just singletons
             stack.pop()
-            for j in range(j, len(cols)):
-                a = cell & cols[j]
-                if a and a != cell:
-                    for part in (a, cell ^ a):
-                        if part & (part - 1) == 0 and part & want:
-                            want ^= part
-                            found[part] = path | 1 << j
+            lone = _lone_lanes(cell, j * width, lanes)
+            while lone:  # lowest lane first: a concept's first sequence is its least
+                low = lone & -lone
+                lone ^= low
+                i = j + low.bit_length() // width - 1
+                a = cell & cols[i]
+                for part in (a, cell ^ a):
+                    if part & (part - 1) == 0 and part & want:
+                        want ^= part
+                        found[part] = path | 1 << i
             continue
-        for j in range(j, len(cols)):
+        for j in range(j, count):
             a = cell & cols[j]
             if a and a != cell:
                 break

@@ -4,7 +4,8 @@ The command-line layer maps these onto distinct exit codes: FormatError is
 bad input (exit 2), BudgetError is an exceeded search budget (exit 3), and
 PropertyViolation is a mathematically meaningful failure such as a broken
 precondition or a refuted invariant (exit 1).  Every exact search calls
-check_budget once per call and every 1,024 nodes; ``with budget(secs):``
+check_budget once per call and then at least every 1,024 nodes, sooner
+where nodes handle wide ints (_WORK_PER_READ); ``with budget(secs):``
 sets the deadline it reads, and nested budgets keep the earlier deadline.
 """
 
@@ -27,6 +28,10 @@ class BudgetError(RuntimeError):
 class PropertyViolation(RuntimeError):
     """A mathematical precondition or claimed property does not hold."""
 
+
+# a loop whose steps handle ints of very different widths charges each step
+# 1,024 plus the bits it handles, and reads the budget once its charges pass this
+_WORK_PER_READ = 1 << 20
 
 _deadline = ContextVar("teachlab_deadline", default=float("inf"))  # time.monotonic(), per thread
 

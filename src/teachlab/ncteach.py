@@ -1,31 +1,34 @@
 """No-clash teachers: admissibility, normalization, and exact NCTD search.
 
 A teacher assigns each concept an instance set; two concepts clash when
-they agree everywhere on the union of their assigned sets, and a teacher is
-admissible when no pair clashes.  NCTD(k) is computed by deciding, for
+they agree everywhere on the union of their assigned sets, and a teacher
+is admissible when no pair clashes.  NCTD(k) is computed by deciding, for
 d = counting lower bound, d+1, ..., whether an admissible assignment of
 d-subsets exists.  The decision procedure first tries a greedy order-1
-assignment, then a trace count that can refute order d outright: the
-concepts whose sets lie inside one (d+1)-set D take distinct traces on D,
-so the distinct traces summed over all D must cover every concept n-d
-times.  The sum is the popcount of the OR of packed trace vectors: one int
-per concept with a field of 2^(d+1) bits per D, the AND of n masks cached
-per (n, d).  The exhaustive enumerations in experiments build the vectors
-of all 2^n concepts once and apply the count themselves, once per orbit of
-classes under domain permutations and XOR by a concept mask (which keep
-every clash), so decide_order sees one class per orbit that the count
-leaves open.  When
-the sum ties exactly, every D holds one concept per trace, and a concept
-that is the only possible carrier of some trace on D must take a d-set
-inside D; propagating this, over tables of each D's instances and
-candidates cached per (n, d), until some trace has no carrier left
-refutes most tied classes: 4,704 of the 4,936 tied 2n-concept classes
-over [4] that the greedy leaves open and that are not tournament classes.
-Otherwise it backtracks over concepts with forward checking, on an explicit
-stack: each concept's surviving candidates are a bitmask over the
-lexicographic list of d-subsets, the concept with the fewest survivors is
-assigned next (ties by concept order), and candidates are tried in
-lexicographic order, so the first witness found is deterministic.
+assignment, which checks each candidate against all earlier concepts at
+once in lanes of one int, then a trace count that can refute order d
+outright: the concepts whose sets lie inside one (d+1)-set D take distinct
+traces on D, so the distinct traces summed over all D must cover every
+concept n-d times.  The sum is the popcount of the OR of packed trace
+vectors: one int per concept with a field of 2^(d+1) bits per D, the AND
+of n masks cached per (n, d).  The exhaustive enumerations in experiments
+build the vectors of all 2^n concepts once and apply the count themselves,
+once per orbit of classes under domain permutations and XOR by a concept
+mask (which keep every clash), so decide_order sees one class per orbit
+that the count leaves open.  When the sum ties exactly, every D holds one
+concept per trace, and a concept that is the only possible carrier of some
+trace on D must take a d-set inside D; propagating this, over tables of
+each D's instances and candidates cached per (n, d), until some trace has
+no carrier left refutes most tied classes: 4,704 of the 4,936 tied
+2n-concept classes over [4] that the greedy leaves open and that are not
+tournament classes.  Otherwise it backtracks over concepts with forward
+checking, on an explicit stack: each concept's surviving candidates are a
+bitmask over the lexicographic list of d-subsets, the concept with the
+fewest survivors is assigned next (ties by concept order), and candidates
+are tried in lexicographic order, so the first witness found is
+deterministic.  Every step reads the search budget: the greedy, the trace
+count's tables and vectors by the bits they build, the propagation and the
+search every 1,024 steps.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .concepts import (
     instances_to_mask,
     mask_to_instances,
 )
-from .errors import BudgetError, FormatError, check_budget
+from .errors import _WORK_PER_READ, BudgetError, FormatError, check_budget
 
 __all__ = [
     "NCTeacher",
@@ -155,23 +158,38 @@ def _subset_masks(n: int, size: int) -> Iterator[int]:
 def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | None:
     """First-fit singleton assignment, trying instance (i mod n)+1 first at concept i.
 
-    A completed assignment is admissible by construction (each value is
-    checked against all earlier ones); failure says nothing, the caller
-    falls back to the complete search.
+    Concept i may take bit when it differs from every earlier concept j on
+    bit | assign[j].  The earlier masks and assigned bits are packed in lanes
+    of n+1 bits, concept j's at j*(n+1), the top bit of each a guard, so one
+    candidate is checked against all of them by a few big-int operations: it
+    is taken when no lane of (mi*ones ^ packed) & (bit*ones | sets) is zero.
+    A completed assignment is admissible by construction; failure says
+    nothing, the caller falls back to the complete search.  The budget is
+    read by work (errors._WORK_PER_READ), a candidate counting its lanes.
     """
+    width = n + 1
     assign: list[int] = []
+    packed = sets = ones = 0  # ones: bit 0 of each earlier concept's lane
+    work = 0
     for i, mi in enumerate(masks):
+        diff = mi * ones ^ packed
+        guards = ones << n
         for off in range(n):
-            bit = 1 << ((i + off) % n)
-            for j in range(i):
-                dm = mi ^ masks[j]
-                if not dm & bit and not dm & assign[j]:
-                    break
-            else:
-                assign.append(bit)
+            b = (i + off) % n
+            x = diff & (ones << b | sets)
+            if (x | guards) - ones & guards == guards:  # no guard borrowed from: no lane zero
                 break
         else:
             return None
+        work += (off + 1) * (1024 + i * width)
+        if work > _WORK_PER_READ:
+            check_budget("order-1 greedy")
+            work = 0
+        shift = i * width
+        packed |= mi << shift
+        sets |= 1 << b + shift
+        ones |= 1 << shift
+        assign.append(1 << b)
     return assign
 
 
@@ -184,6 +202,7 @@ def _value_masks(n: int, d: int) -> tuple[tuple[int, int], ...]:
     D's field stands for the trace whose value on the j-th smallest instance
     of D is bit j of p.  Every bit of D's field is consistent with x = b
     when x lies outside D, and half of them when x is D's j-th instance.
+    The budget is read by work (errors._WORK_PER_READ), a row counting its bits.
     """
     width = 1 << (d + 1)
     digits = width // 4  # hex digits per field, a whole number since d >= 1
@@ -193,7 +212,12 @@ def _value_masks(n: int, d: int) -> tuple[tuple[int, int], ...]:
     # a hex string starts at its most significant digit, so the last D comes first
     top_first = list(itertools.combinations(range(n), d + 1))[::-1]
     table = []
+    work = 0
     for x in range(n):
+        work += 1024 + (len(top_first) << (d + 2))  # the row's two ints
+        if work > _WORK_PER_READ:
+            check_budget(f"order-{d} trace count")
+            work = 0
         where = [dset.index(x) if x in dset else -1 for dset in top_first]
         table.append((int("".join(half[0][j] for j in where), 16),
                       int("".join(half[1][j] for j in where), 16)))
@@ -206,10 +230,17 @@ def _trace_vectors(masks: Iterable[int], n: int, d: int) -> Iterator[int]:
     Concepts with the same trace on D set the same bit of D's field, so the
     popcount of the OR of a class's vectors is its number of distinct
     traces summed over all D: the trace count of decide_order.  The vectors
-    are yielded one at a time, so an OR over them holds one at a time.
+    are yielded one at a time, so an OR over them holds one at a time.  The
+    budget is read by work (errors._WORK_PER_READ), a vector counting its bits.
     """
     table = _value_masks(n, d)
+    size = comb(n, d + 1) << (d + 1)
+    work = 0
     for c in masks:
+        work += 1024 + size
+        if work > _WORK_PER_READ:
+            check_budget(f"order-{d} trace count")
+            work = 0
         v = -1
         for pair in table:
             v &= pair[c & 1]
@@ -224,7 +255,9 @@ def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     the candidate bits outside D, as the complement of those inside."""
     index = {cm: s for s, cm in enumerate(_subset_masks(n, d))}
     groups = []
-    for dset in itertools.combinations(range(n), d + 1):
+    for steps, dset in enumerate(itertools.combinations(range(n), d + 1)):
+        if not steps & 1023:
+            check_budget(f"order-{d} carrier propagation")
         dmask = sum(1 << x for x in dset)
         inside = tuple(index[dmask ^ (1 << x)] for x in dset)
         groups.append((dset, inside, ~sum(1 << s for s in inside)))
@@ -259,7 +292,11 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) ->
     alive = [full] * ncand
     dom = [(1 << ncand) - 1] * len(masks)
     groups: list[tuple[tuple[int, ...], int, list[int]]] = []
+    steps = 0
     for dset, inside, outside in _carrier_groups(n, d):
+        if not steps & 1023:
+            check_budget(f"order-{d} carrier propagation")
+        steps += 1
         cells = [full]
         for x in dset:
             column = columns[x]
@@ -272,7 +309,6 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) ->
                     split.append(cell ^ on)
             cells = split
         groups.append((inside, outside, cells))
-    steps = 0
     changed = True
     while changed:
         changed = False

@@ -15,7 +15,12 @@ without spilling into the next, and masking every shifted copy to the low
 calling stream_bit once per index.  Indices are taken 4,096 lanes at a
 time, so the temporaries stay small however many bits are drawn; only the
 ASCII bits of each chunk are kept, and they are joined once at the end.
+A chunk's lane states are (seed mod 2^64)*ones + steps, cut to 64 bits,
+where ones holds 1 and steps (r+1)*GAMMA in lane r: constants of the lane
+count alone, built once by doubling and cached for the last few counts.
 """
+
+from functools import lru_cache
 
 __all__ = ["mix64", "stream", "stream_bit", "stream_bits"]
 
@@ -57,19 +62,30 @@ def stream_bit(seed: int, index: int) -> int:
     return stream(seed, index) & 1
 
 
-def _chunk_bits(seed: int, count: int) -> bytes:
-    """ASCII of stream_bit(seed, r) for r = 0..count-1 (count >= 1), index 0 first."""
-    # Doubling: lanes 0..c-1 hold seed + (r+1)*GAMMA (reduced below), step
-    # holds c*GAMMA in each of them, and low holds MASK64 in each of them.
-    state, step, low, c = (seed + _GAMMA) & MASK64, _GAMMA, MASK64, 1
+@lru_cache(maxsize=4)
+def _lane_constants(count: int) -> tuple[int, int, int]:
+    """(ones, steps, low) over count lanes: 1, (r+1)*GAMMA and MASK64 in lane r.
+
+    Built by doubling, in O(count * log count) bits: lanes 0..c-1 of steps
+    hold (r+1)*GAMMA, unreduced (below 2^76), and step holds
+    c*GAMMA in each of them.  Both run on to the power of two c >= count;
+    ones is cut back by a shift, steps by low when it is used.
+    """
+    steps, step, ones, c = _GAMMA, _GAMMA, 1, 1
     while c < count:
         shift = _LANE * c
-        state |= (state + step) << shift
+        steps |= (steps + step) << shift
         step = (step | step << shift) << 1
-        low |= low << shift
+        ones |= ones << shift
         c <<= 1
-    low &= (1 << _LANE * count) - 1
-    x = _mix_lanes(state & low, low)
+    ones >>= _LANE * (c - count)
+    return ones, steps, (ones << 64) - ones
+
+
+def _chunk_bits(seed: int, count: int) -> bytes:
+    """ASCII of stream_bit(seed, r) for r = 0..count-1 (count >= 1), index 0 first."""
+    ones, steps, low = _lane_constants(count)
+    x = _mix_lanes(((seed & MASK64) * ones + steps) & low, low)
     return x.to_bytes(_LANE_BYTES * count, "little")[::_LANE_BYTES].translate(_BIT_CHAR)
 
 

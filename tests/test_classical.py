@@ -221,6 +221,34 @@ def test_td_min_matches_bruteforce_across_lane_widths():
             assert td_min(ConceptClass.from_masks(sub, n)) == brute_td_min(sub, n)
 
 
+def _peeled_rtd(masks, n):
+    # RTD as the teaching plan peels it: remove every concept of least TD
+    # within the live class, by the per-concept hitting sets
+    live, level = list(masks), 0
+    while len(live) > 1:
+        tds = [classical._min_hit_size(classical._diff_masks(live, i), n)
+               for i in range(len(live))]
+        least = min(tds)
+        level = max(level, least)
+        live = [c for c, t in zip(live, tds) if t > least]
+    return level
+
+
+def test_report_and_rtd_match_hitting_sets_across_lane_widths():
+    # the leaves of teaching_report and rtd lane-test every later splitter at
+    # once, in lanes of (concept count + 1) bits; the per-concept hitting
+    # sets and a peel by them share no code with that test
+    rng = random.Random(20261020)
+    for m in (2, 3, 29, 30, 31, 59, 60, 61, 64, 65, 128, 129):
+        n = rng.randint((m - 1).bit_length(), 8)
+        masks = rng.sample(range(1 << n), m)
+        k = ConceptClass.from_masks(masks, n)
+        rep = teaching_report(k)
+        for i, c in enumerate(k.concepts):
+            assert (rep.sizes[i], rep.witnesses[i]) == td_of(k, c)
+        assert rtd(k) == _peeled_rtd(masks, n)
+
+
 def _plain_splitters(masks, n, live):
     cols, xs, seen = [], [], set()
     for x in range(n):
@@ -265,6 +293,17 @@ def test_td_min_has_no_smaller_unique_pattern(seed):
 
 def test_td_min_stops_at_its_budget_at_large_n():
     k = class1(random_tournament(512, 0))
+    start = time.monotonic()
+    with pytest.raises(BudgetError):
+        with budget(0.5):
+            td_min(k)
+    assert time.monotonic() - start < 0.5 + 1.0
+
+
+def test_td_min_stops_at_its_budget_at_n_1024():
+    # one lane test here multiplies a 1,024-bit cell into a 1M-bit int, so
+    # the budget is read by the bits of lanes handled, not only by frames
+    k = class1(random_tournament(1024, 0))
     start = time.monotonic()
     with pytest.raises(BudgetError):
         with budget(0.5):

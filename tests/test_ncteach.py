@@ -300,6 +300,55 @@ def test_carrier_propagation_reads_its_deadline():
             decide_order(masks, 46, 1)
 
 
+def test_steps_before_the_order1_search_read_the_budget():
+    # the greedy fails on this shuffled order; before the search, the trace
+    # count's tables and vectors over 44,850 pairs and the carrier
+    # propagation's set-up took seconds without reading the budget
+    masks = list(class2(random_tournament(300, 0)).masks)
+    random.Random(0).shuffle(masks)
+    start = time.monotonic()
+    with pytest.raises(BudgetError):
+        with budget(0.5):
+            decide_order(masks, 300, 1)
+    assert time.monotonic() - start < 0.5 + 1.0
+
+
+def _plain_first_fit(masks, n):
+    # concept i takes the first bit from (i mod n) on, cyclically, that no
+    # earlier concept agrees with it on together with its own bit
+    assign = []
+    for i, mi in enumerate(masks):
+        for off in range(n):
+            bit = 1 << (i + off) % n
+            if all((mi ^ mj) & (bit | aj) for mj, aj in zip(masks, assign)):
+                assign.append(bit)
+                break
+        else:
+            return None
+    return assign
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), min_size=1,
+                                             max_size=min(2**n, 3 * n), unique=True))))
+def test_greedy_order1_matches_a_plain_first_fit(args):
+    n, masks = args
+    assert _greedy_order1(masks, n) == _plain_first_fit(masks, n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 30, 31, 64, 65])
+def test_greedy_order1_matches_a_plain_first_fit_on_tournament_classes(n):
+    # lanes of n+1 bits: these put lane edges on either side of 30-bit digits
+    rng = random.Random(n)
+    for seed in range(3):
+        g = random_tournament(n, seed)
+        for masks in (list(class1(g).masks), list(class2(g).masks)):
+            assert _greedy_order1(masks, n) == _plain_first_fit(masks, n)
+            rng.shuffle(masks)
+            assert _greedy_order1(masks, n) == _plain_first_fit(masks, n)
+
+
 def test_tied_classes_agree_with_milp():
     from milp import order_feasible
 

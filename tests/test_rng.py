@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teachlab import mix64, stream, stream_bit, stream_bits
+from teachlab import mix64, rng, stream, stream_bit, stream_bits
 from teachlab.rng import MASK64
 
 
@@ -75,6 +75,16 @@ def test_stream_bits_matches_per_index_stream_bit(seed, count):
 @given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 300))
 def test_stream_bits_matches_loop_property(seed, count):
     assert stream_bits(seed, count) == loop_bits(seed, count)
+
+
+def test_stream_bits_agrees_after_its_lane_constants_are_evicted():
+    # the per-count lane constants are cached for a few counts only: cycle
+    # through more counts than that, then come back to the first
+    held = rng._lane_constants.cache_info().maxsize
+    counts = [7 + 5 * i for i in range(held + 2)] + [7, 4096 + 7]
+    for seed, count in enumerate(counts):
+        assert stream_bits(seed, count) == loop_bits(seed, count)
+    assert rng._lane_constants.cache_info().currsize <= held
 
 
 def test_stream_bits_rejects_negative_count():
