@@ -40,6 +40,35 @@ def golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="ascii")
 
 
+# every subcommand's exit code, output and written files on small inputs, with
+# and without --json; "{tmp}" stands for the directory the inputs are written to
+CLI_OUTPUTS = json.loads(golden("cli_outputs.json"))
+
+
+def run_recorded(argv: list[str], tmp_path: Path) -> dict:
+    """Run one command in tmp_path over the golden inputs and record what it did.
+
+    Text is kept as a list of lines (split on "\\n", so joining them restores
+    it exactly), and so are the files the command wrote.
+    """
+    inputs = CLI_OUTPUTS["inputs"]
+    for name, lines in inputs.items():
+        (tmp_path / name).write_text("\n".join(lines), encoding="ascii")
+    tmp = str(tmp_path)
+    outcome = dispatch([arg.replace("{tmp}", tmp) for arg in argv])
+    written = {p.name: p.read_text(encoding="ascii").split("\n")
+               for p in sorted(tmp_path.iterdir()) if p.name not in inputs}
+    return {"code": outcome.code, "text": outcome.text.replace(tmp, "{tmp}").split("\n"),
+            "files": written}
+
+
+@pytest.mark.parametrize("case", CLI_OUTPUTS["cases"], ids=lambda case: case["id"])
+def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    want = {key: case[key] for key in ("code", "text", "files")}
+    assert run_recorded(case["argv"], tmp_path) == want
+
+
 def test_td_report_text_golden(half3, capsys):
     assert main(["td", "--class", str(half3)]) == EXIT_OK
     assert capsys.readouterr().out == golden("td_half3.txt")
