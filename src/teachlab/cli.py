@@ -5,10 +5,16 @@ hold (never used for I/O trouble); 2 bad input, malformed file, or bad
 usage; 3 budget exceeded or result inconclusive.
 
 All numeric output is explicit: integers exact, rationals as p/q, reals
-with 12 significant digits.  --json mirrors each report as one JSON
-object with the same formatting rules (rationals as strings).  Every
-subcommand is deterministic given its arguments; randomness only enters
-through an explicit --seed.
+with 12 significant digits.  Every subcommand is deterministic given its
+arguments; randomness only enters through an explicit --seed.
+
+Each handler returns its exit code, a JSON object and text lines, and
+dispatch renders them once: --json prints the object (rationals as
+strings), otherwise the lines are printed.  The text names every file a
+command writes; the JSON names the files of nctd --emit-teacher
+("teacher_file"), johnson hmax --witness ("witness_file") and experiment
+tdmin --out ("csv").  An error prints one "error: ..." line in both
+forms.
 """
 
 from __future__ import annotations
@@ -120,67 +126,58 @@ def _witness_str(w) -> str:
     return " ".join(str(x) for x in sorted(w))
 
 
+# A handler's report: its exit code, the object --json prints and the text
+# lines printed otherwise
+Report = tuple[int, dict, list[str]]
+
+
 # ---------------------------------------------------------------- td / rtd
 
 
-def _cmd_td(args) -> CommandOutcome:
+def _td_line(i: int, concept: str, size: int, witness) -> str:
+    return f"concept {i} {concept}: td={size} witness={_witness_str(witness) or '-'}"
+
+
+def _cmd_td(args) -> Report:
     k = _read_class(args.class_file)
     if args.concept is not None:
         if not 0 <= args.concept < len(k):
             raise ValueError(f"concept index {args.concept} outside 0..{len(k) - 1}")
         i = args.concept
-        c = k.concepts[i]
-        size, witness = td_of(k, c)
-        if args.json:
-            return CommandOutcome(EXIT_OK, json.dumps({
-                "n": k.n, "index": i, "concept": c.to_string(),
-                "td": size, "witness": sorted(witness),
-            }))
-        return CommandOutcome(EXIT_OK, (
-            f"concept {i} {c.to_string()}: td={size} witness={_witness_str(witness) or '-'}"))
+        c = k.concepts[i].to_string()
+        size, witness = td_of(k, k.concepts[i])
+        doc = {"n": k.n, "index": i, "concept": c, "td": size, "witness": sorted(witness)}
+        return EXIT_OK, doc, [_td_line(i, c, size, witness)]
     rep = teaching_report(k)
-    if args.csv:
-        lines = ["concept_index,td,witness"]
-        for i in range(len(k)):
-            lines.append(f"{i},{rep.sizes[i]},{_witness_str(rep.witnesses[i])}")
-        _write(args.csv, "\n".join(lines) + "\n")
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps({
-            "n": k.n, "size": len(k),
-            "concepts": [
-                {"index": i, "concept": k.concepts[i].to_string(),
-                 "td": rep.sizes[i], "witness": sorted(rep.witnesses[i])}
-                for i in range(len(k))
-            ],
-            "td_min": rep.td_min, "td_max": rep.td,
-        }))
+    rows = [(i, k.concepts[i].to_string(), rep.sizes[i], rep.witnesses[i])
+            for i in range(len(k))]
+    doc = {"n": k.n, "size": len(k),
+           "concepts": [{"index": i, "concept": c, "td": size, "witness": sorted(w)}
+                        for i, c, size, w in rows],
+           "td_min": rep.td_min, "td_max": rep.td}
     lines = [f"n = {k.n}, concepts = {len(k)}"]
-    for i in range(len(k)):
-        lines.append(f"concept {i} {k.concepts[i].to_string()}: td={rep.sizes[i]}"
-                     f" witness={_witness_str(rep.witnesses[i]) or '-'}")
-    lines.append(f"td_min = {rep.td_min}")
-    lines.append(f"td_max = {rep.td}")
+    lines += [_td_line(*row) for row in rows]
+    lines += [f"td_min = {rep.td_min}", f"td_max = {rep.td}"]
     if args.csv:
+        csv_lines = ["concept_index,td,witness"]
+        csv_lines += [f"{i},{size},{_witness_str(w)}" for i, _, size, w in rows]
+        _write(args.csv, "\n".join(csv_lines) + "\n")
         lines.append(f"wrote CSV to {args.csv}")
-    return CommandOutcome(EXIT_OK, "\n".join(lines))
+    return EXIT_OK, doc, lines
 
 
-def _cmd_rtd(args) -> CommandOutcome:
+def _cmd_rtd(args) -> Report:
     k = _read_class(args.class_file)
     r = rtd(k)
-    oracle = rtd_bruteforce(k) if args.oracle else None
-    if args.json:
-        out = {"n": k.n, "size": len(k), "rtd": r}
-        if args.oracle:
-            out["oracle"] = oracle
-            out["match"] = oracle == r
-        code = EXIT_PROPERTY if args.oracle and oracle != r else EXIT_OK
-        return CommandOutcome(code, json.dumps(out))
-    if args.oracle and oracle != r:
-        return CommandOutcome(EXIT_PROPERTY,
-                              f"rtd mismatch: recursive={r} bruteforce={oracle}")
-    suffix = " (oracle agrees)" if args.oracle else ""
-    return CommandOutcome(EXIT_OK, f"rtd = {r}{suffix}")
+    doc = {"n": k.n, "size": len(k), "rtd": r}
+    if not args.oracle:
+        return EXIT_OK, doc, [f"rtd = {r}"]
+    oracle = rtd_bruteforce(k)
+    doc["oracle"] = oracle
+    doc["match"] = oracle == r
+    if oracle != r:
+        return EXIT_PROPERTY, doc, [f"rtd mismatch: recursive={r} bruteforce={oracle}"]
+    return EXIT_OK, doc, [f"rtd = {r} (oracle agrees)"]
 
 
 # ---------------------------------------------------------------- nctd
@@ -191,54 +188,42 @@ def _teacher_json(t: NCTeacher) -> list[dict]:
             for c, s in zip(t.k.concepts, t.sets)]
 
 
-def _cmd_nctd(args) -> CommandOutcome:
+def _cmd_nctd(args) -> Report:
     k = _read_class(args.class_file)
     res = nctd(k, d_max=args.max_d)
-    emitted = None
-    if res.status == "exact" and args.emit_teacher:
+    doc = {"n": k.n, "size": len(k), "status": res.status, "d": res.d,
+           "lower_bound": res.lower_bound,
+           "teacher": _teacher_json(res.teacher) if res.teacher else None}
+    if res.status == "exceeds_d_max":
+        return EXIT_BUDGET, doc, [
+            f"inconclusive: no admissible teacher of order <= {args.max_d};"
+            f" nctd >= {res.lower_bound}"]
+    if res.status != "exact":
+        return EXIT_BUDGET, doc, [
+            f"inconclusive: search timed out; verified lower bound = {res.lower_bound}"]
+    lines = [f"nctd = {res.d}", f"verified lower bound = {res.lower_bound}"]
+    if args.emit_teacher:
         if res.teacher is None:
             raise AssertionError("nctd reported an exact value without a teacher")
         _write(args.emit_teacher, serialize_teacher(res.teacher))
-        emitted = args.emit_teacher
-    if args.json:
-        out = {"n": k.n, "size": len(k), "status": res.status, "d": res.d,
-               "lower_bound": res.lower_bound,
-               "teacher": _teacher_json(res.teacher) if res.teacher else None}
-        if emitted:
-            out["teacher_file"] = emitted
-        code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, json.dumps(out))
-    if res.status == "exact":
-        lines = [f"nctd = {res.d}", f"verified lower bound = {res.lower_bound}"]
-        if emitted:
-            lines.append(f"wrote teacher to {emitted}")
-        return CommandOutcome(EXIT_OK, "\n".join(lines))
-    if res.status == "exceeds_d_max":
-        return CommandOutcome(EXIT_BUDGET, (
-            f"inconclusive: no admissible teacher of order <= {args.max_d};"
-            f" nctd >= {res.lower_bound}"))
-    return CommandOutcome(EXIT_BUDGET, (
-        f"inconclusive: search timed out; verified lower bound = {res.lower_bound}"))
+        doc["teacher_file"] = args.emit_teacher
+        lines.append(f"wrote teacher to {args.emit_teacher}")
+    return EXIT_OK, doc, lines
 
 
-def _cmd_verify_teacher(args) -> CommandOutcome:
+def _cmd_verify_teacher(args) -> Report:
     k = _read_class(args.class_file)
     t = _read_teacher(args.teacher, k)
     bad = _first_clash(t)
-    cs = t.k.concepts
-    if args.json:
-        out = {"n": k.n, "size": len(k), "order": t.order,
-               "admissible": bad is None}
-        if bad:
-            out["clash"] = [cs[bad[0]].to_string(), cs[bad[1]].to_string()]
-        return CommandOutcome(EXIT_OK if bad is None else EXIT_PROPERTY, json.dumps(out))
+    doc = {"n": k.n, "size": len(k), "order": t.order, "admissible": bad is None}
     if bad is None:
-        return CommandOutcome(EXIT_OK, f"teacher is admissible (order {t.order})")
+        return EXIT_OK, doc, [f"teacher is admissible (order {t.order})"]
     i, j = bad
+    ci, cj = t.k.concepts[i].to_string(), t.k.concepts[j].to_string()
+    doc["clash"] = [ci, cj]
     joint = sorted(t.sets[i] | t.sets[j])
-    return CommandOutcome(EXIT_PROPERTY, (
-        f"clash: concepts {cs[i].to_string()} and {cs[j].to_string()}"
-        f" agree on {{{', '.join(map(str, joint))}}}"))
+    return EXIT_PROPERTY, doc, [
+        f"clash: concepts {ci} and {cj} agree on {{{', '.join(map(str, joint))}}}"]
 
 
 # ---------------------------------------------------------------- tournament
@@ -248,32 +233,24 @@ def _tournament_json(g: Tournament) -> dict:
     return {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
 
 
-def _cmd_tournament_gen(args) -> CommandOutcome:
+def _cmd_tournament_gen(args) -> Report:
     g = linear_tournament(args.n) if args.linear else random_tournament(args.n, args.seed)
     text = serialize_tournament(g)
-    if args.out:
-        _write(args.out, text)
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps(_tournament_json(g)))
-    if args.out:
-        return CommandOutcome(EXIT_OK, f"wrote tournament to {args.out}")
-    return CommandOutcome(EXIT_OK, text.rstrip("\n"))
+    if not args.out:
+        return EXIT_OK, _tournament_json(g), text.splitlines()
+    _write(args.out, text)
+    return EXIT_OK, _tournament_json(g), [f"wrote tournament to {args.out}"]
 
 
-def _cmd_tournament_class(args) -> CommandOutcome:
+def _cmd_tournament_class(args) -> Report:
     g = parse_tournament(_read(args.infile))
     k = class1(g) if args.mode == 1 else class2(g)
     text = serialize_class(k)
-    if args.out:
-        _write(args.out, text)
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps({
-            "n": k.n, "mode": args.mode,
-            "concepts": [c.to_string() for c in k.concepts],
-        }))
-    if args.out:
-        return CommandOutcome(EXIT_OK, f"wrote {len(k)} concepts to {args.out}")
-    return CommandOutcome(EXIT_OK, text.rstrip("\n"))
+    doc = {"n": k.n, "mode": args.mode, "concepts": [c.to_string() for c in k.concepts]}
+    if not args.out:
+        return EXIT_OK, doc, text.splitlines()
+    _write(args.out, text)
+    return EXIT_OK, doc, [f"wrote {len(k)} concepts to {args.out}"]
 
 
 def _align_teacher(k: ConceptClass, t: NCTeacher) -> NCTeacher:
@@ -283,7 +260,7 @@ def _align_teacher(k: ConceptClass, t: NCTeacher) -> NCTeacher:
     return NCTeacher(k, tuple(t.set_for(c) for c in k.concepts))
 
 
-def _cmd_tournament_recover(args) -> CommandOutcome:
+def _cmd_tournament_recover(args) -> Report:
     k = _read_class(args.class_file)
     if args.teacher:
         t = _align_teacher(k, _read_teacher(args.teacher, k))
@@ -293,85 +270,64 @@ def _cmd_tournament_recover(args) -> CommandOutcome:
             raise PropertyViolation("class admits no order-1 no-clash teacher")
         t = NCTeacher(k, tuple(mask_to_instances(s) for s in sol))
     g = recover_tournament(k, t)
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps(_tournament_json(g)))
-    return CommandOutcome(EXIT_OK, serialize_tournament(g).rstrip("\n"))
+    return EXIT_OK, _tournament_json(g), serialize_tournament(g).splitlines()
 
 
 # ---------------------------------------------------------------- johnson
 
 
-def _cmd_johnson_hmax(args) -> CommandOutcome:
+def _cmd_johnson_hmax(args) -> Report:
     res = h_max(args.n, args.k, args.t, exact_limit=args.exact_limit)
-    wrote = None
+    doc = {"n": res.n, "k": res.k, "t": res.t, "status": res.status,
+           "size": res.size, "lower": res.lower, "upper": res.upper,
+           "witness": None if res.witness is None else
+           [sorted(a) for a in sorted(res.witness.members, key=sorted)]}
+    if res.status == "exact":
+        code, what = EXIT_OK, "witness family"
+        lines = [f"H_{res.t}({res.n},{res.k}) = {res.size}"]
+    else:
+        code, what = EXIT_BUDGET, "greedy witness (lower bound)"
+        lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
     if args.witness and res.witness is not None:
         _write(args.witness, serialize_family(res.witness))
-        wrote = args.witness
-    if args.json:
-        out = {"n": res.n, "k": res.k, "t": res.t, "status": res.status,
-               "size": res.size, "lower": res.lower, "upper": res.upper,
-               "witness": None if res.witness is None else
-               [sorted(a) for a in sorted(res.witness.members, key=sorted)]}
-        if wrote:
-            out["witness_file"] = wrote
-        code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, json.dumps(out))
-    if res.status == "exact":
-        lines = [f"H_{res.t}({res.n},{res.k}) = {res.size}"]
-        if wrote:
-            lines.append(f"wrote witness family to {wrote}")
-        return CommandOutcome(EXIT_OK, "\n".join(lines))
-    lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
-    if wrote:
-        lines.append(f"wrote greedy witness (lower bound) to {wrote}")
-    return CommandOutcome(EXIT_BUDGET, "\n".join(lines))
+        doc["witness_file"] = args.witness
+        lines.append(f"wrote {what} to {args.witness}")
+    return code, doc, lines
 
 
 # ---------------------------------------------------------------- bounds
 
 
-def _cmd_bounds(args) -> CommandOutcome:
+def _cmd_bounds(args) -> Report:
     rep = bound_report(args.n, args.d, args.t)
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps({
-            "n": rep.n, "d": rep.d, "t": rep.t, "ksz": rep.ksz,
-            "gub": str(rep.gub), "factor": _jreal(rep.factor),
-            "h_used": str(rep.h_used), "h_kind": rep.h_kind,
-        }))
+    doc = {"n": rep.n, "d": rep.d, "t": rep.t, "ksz": rep.ksz,
+           "gub": str(rep.gub), "factor": _jreal(rep.factor),
+           "h_used": str(rep.h_used), "h_kind": rep.h_kind}
     if args.csv:
-        header = "n,d,t,ksz,gub,factor,h_used,h_kind"
         t_field = "" if rep.t is None else str(rep.t)
-        row = (f"{rep.n},{rep.d},{t_field},{rep.ksz},{rep.gub},"
-               f"{_real(rep.factor)},{rep.h_used},{rep.h_kind}")
-        return CommandOutcome(EXIT_OK, header + "\n" + row)
+        return EXIT_OK, doc, [
+            "n,d,t,ksz,gub,factor,h_used,h_kind",
+            f"{rep.n},{rep.d},{t_field},{rep.ksz},{rep.gub},"
+            f"{_real(rep.factor)},{rep.h_used},{rep.h_kind}"]
     width = max(len(key) for key, _ in rep.rows())
-    lines = [f"{key.ljust(width)} = {val}" for key, val in rep.rows()]
-    return CommandOutcome(EXIT_OK, "\n".join(lines))
+    return EXIT_OK, doc, [f"{key.ljust(width)} = {val}" for key, val in rep.rows()]
 
 
 # ---------------------------------------------------------------- experiments
 
 
-def _cmd_experiment_tdmin(args) -> CommandOutcome:
+def _cmd_experiment_tdmin(args) -> Report:
     cfg = ExperimentConfig(n=args.n, trials=args.trials, seed=args.seed)
     records, summary = run_tdmin_experiment(cfg, jobs=args.jobs)
     csv_lines = ["trial,seed,n,td_min,nctd"]
-    for r in records:
-        csv_lines.append(f"{r.trial},{r.seed},{cfg.n},{r.td_min},{r.nctd}")
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_lines += [f"{r.trial},{r.seed},{cfg.n},{r.td_min},{r.nctd}" for r in records]
+    doc = {"n": summary.n, "trials": summary.trials, "seed": summary.seed,
+           "counts": [list(p) for p in summary.counts],
+           "min": summary.minimum, "mean": _jreal(summary.mean),
+           "max": summary.maximum, "threshold": summary.threshold,
+           "fraction_below": _jreal(summary.fraction_below)}
     if args.out == "-":
-        return CommandOutcome(EXIT_OK, csv_text.rstrip("\n"))
-    if args.out:
-        _write(args.out, csv_text)
-    if args.json:
-        out = {"n": summary.n, "trials": summary.trials, "seed": summary.seed,
-               "counts": [list(p) for p in summary.counts],
-               "min": summary.minimum, "mean": _jreal(summary.mean),
-               "max": summary.maximum, "threshold": summary.threshold,
-               "fraction_below": _jreal(summary.fraction_below)}
-        if args.out:
-            out["csv"] = args.out
-        return CommandOutcome(EXIT_OK, json.dumps(out))
+        return EXIT_OK, doc, csv_lines
     hist = ", ".join(f"{v} x{c}" for v, c in summary.counts)
     lines = [
         f"n = {summary.n}, trials = {summary.trials}, seed = {summary.seed}",
@@ -381,8 +337,10 @@ def _cmd_experiment_tdmin(args) -> CommandOutcome:
         f" fraction below = {_real(summary.fraction_below)}",
     ]
     if args.out:
+        _write(args.out, "\n".join(csv_lines) + "\n")
+        doc["csv"] = args.out
         lines.append(f"wrote CSV to {args.out}")
-    return CommandOutcome(EXIT_OK, "\n".join(lines))
+    return EXIT_OK, doc, lines
 
 
 def _flag(v: bool | None) -> str:
@@ -391,21 +349,18 @@ def _flag(v: bool | None) -> str:
     return "yes" if v else "no"
 
 
-def _cmd_experiment_claim(args) -> CommandOutcome:
+def _cmd_experiment_claim(args) -> Report:
     scan = claim_scan(args.scan_max)
     code = EXIT_OK if scan.n0 is not None and scan.cor_n0 is not None else EXIT_PROPERTY
-    if args.json:
-        return CommandOutcome(code, json.dumps({
-            "limit": scan.limit, "n0": scan.n0, "cor_n0": scan.cor_n0,
-            "records": [
-                {"n": r.n, "k": r.k, "ineq1": r.ineq1, "ineq2": r.ineq2,
-                 "sufficient": r.sufficient, "holds": r.holds,
-                 "cor_k": r.cor_k, "cor_ineq1": r.cor_ineq1,
-                 "cor_ineq2": r.cor_ineq2, "cor_sufficient": r.cor_sufficient,
-                 "cor_holds": r.cor_holds}
-                for r in scan.records
-            ],
-        }))
+    doc = {"limit": scan.limit, "n0": scan.n0, "cor_n0": scan.cor_n0,
+           "records": [
+               {"n": r.n, "k": r.k, "ineq1": r.ineq1, "ineq2": r.ineq2,
+                "sufficient": r.sufficient, "holds": r.holds,
+                "cor_k": r.cor_k, "cor_ineq1": r.cor_ineq1,
+                "cor_ineq2": r.cor_ineq2, "cor_sufficient": r.cor_sufficient,
+                "cor_holds": r.cor_holds}
+               for r in scan.records
+           ]}
     lines = [f"{'n':>14} {'k':>4} {'in1':>4} {'in2':>4} {'ok':>4}"
              f"   {'k2':>4} {'in1':>4} {'in2':>4} {'ok':>4}"]
     for r in scan.records:
@@ -415,18 +370,15 @@ def _cmd_experiment_claim(args) -> CommandOutcome:
             f" {_flag(r.cor_ineq2):>4} {_flag(r.cor_holds):>4}")
     lines.append(f"claim n0 = {scan.n0}")
     lines.append(f"corollary n0 = {scan.cor_n0}")
-    return CommandOutcome(code, "\n".join(lines))
+    return code, doc, lines
 
 
-def _cmd_experiment_tau(args) -> CommandOutcome:
+def _cmd_experiment_tau(args) -> Report:
     rep = tau_estimate(args.n, args.trials, args.seed, k_override=args.k)
-    if args.json:
-        return CommandOutcome(EXIT_OK, json.dumps({
-            "n": rep.n, "trials": rep.trials, "seed": rep.seed,
-            "k": rep.k, "k_source": rep.k_source, "vacuous": rep.vacuous,
-            "hits": rep.hits, "fraction": _jreal(rep.fraction),
-            "ci_low": _jreal(rep.ci_low), "ci_high": _jreal(rep.ci_high),
-        }))
+    doc = {"n": rep.n, "trials": rep.trials, "seed": rep.seed,
+           "k": rep.k, "k_source": rep.k_source, "vacuous": rep.vacuous,
+           "hits": rep.hits, "fraction": _jreal(rep.fraction),
+           "ci_low": _jreal(rep.ci_low), "ci_high": _jreal(rep.ci_high)}
     lines = [f"n = {rep.n}, trials = {rep.trials}, seed = {rep.seed}",
              f"k = {rep.k} ({rep.k_source})"]
     if rep.vacuous:
@@ -434,45 +386,36 @@ def _cmd_experiment_tau(args) -> CommandOutcome:
     else:
         lines.append(f"hits = {rep.hits}, fraction = {_real(rep.fraction)}")
         lines.append(f"95% CI = [{_real(rep.ci_low)}, {_real(rep.ci_high)}]")
-    return CommandOutcome(EXIT_OK, "\n".join(lines))
+    return EXIT_OK, doc, lines
 
 
-def _cmd_verify_dim1(args) -> CommandOutcome:
+def _cmd_verify_dim1(args) -> Report:
     rep = verify_dim1(args.n)
-    code = EXIT_OK if rep.ok else EXIT_PROPERTY
-    if args.json:
-        return CommandOutcome(code, json.dumps({
-            "n": rep.n, "candidates": rep.candidates,
-            "passing": len(rep.passing), "expected": len(rep.expected),
-            "complement_closed": rep.complement_closed, "ok": rep.ok,
-        }))
+    doc = {"n": rep.n, "candidates": rep.candidates,
+           "passing": len(rep.passing), "expected": len(rep.expected),
+           "complement_closed": rep.complement_closed, "ok": rep.ok}
     lines = [
         f"n = {rep.n}: decided {rep.candidates} classes of size {2 * rep.n}",
         f"passing = {len(rep.passing)}, tournament-induced = {len(rep.expected)}",
         f"complement-closed = {_flag(rep.complement_closed)}",
         f"characterization {'holds' if rep.ok else 'FAILS'}",
     ]
-    return CommandOutcome(code, "\n".join(lines))
+    return EXIT_OK if rep.ok else EXIT_PROPERTY, doc, lines
 
 
-def _cmd_search_maxclass(args) -> CommandOutcome:
+def _cmd_search_maxclass(args) -> Report:
     res = max_class_search(args.n, args.d)
-    if args.json:
-        out = {"n": res.n, "d": res.d, "status": res.status, "size": res.size,
-               "lower": res.lower, "upper": res.upper,
-               "witnesses": [[c.to_string() for c in w.concepts]
-                             for w in res.witnesses]}
-        code = EXIT_OK if res.status == "exact" else EXIT_BUDGET
-        return CommandOutcome(code, json.dumps(out))
+    doc = {"n": res.n, "d": res.d, "status": res.status, "size": res.size,
+           "lower": res.lower, "upper": res.upper,
+           "witnesses": [[c.to_string() for c in w.concepts] for w in res.witnesses]}
     if res.status == "exact":
         lines = [f"M_NC({res.n},{res.d}) = {res.size}",
                  f"maximum classes up to relabeling: {len(res.witnesses)}"]
-        for w in res.witnesses:
-            lines.append("  " + " ".join(c.to_string() for c in w.concepts))
-        return CommandOutcome(EXIT_OK, "\n".join(lines))
-    lines = [f"inconclusive: {res.lower} <= M_NC({res.n},{res.d}) <= {res.upper}",
-             "greedy witness: " + " ".join(c.to_string() for c in res.witnesses[0].concepts)]
-    return CommandOutcome(EXIT_BUDGET, "\n".join(lines))
+        lines += ["  " + " ".join(row) for row in doc["witnesses"]]
+        return EXIT_OK, doc, lines
+    return EXIT_BUDGET, doc, [
+        f"inconclusive: {res.lower} <= M_NC({res.n},{res.d}) <= {res.upper}",
+        "greedy witness: " + " ".join(doc["witnesses"][0])]
 
 
 # ---------------------------------------------------------------- parser
@@ -589,19 +532,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> CommandOutcome:
+    """Run one command; --json prints the handler's object, otherwise its text lines."""
     args = _build_parser().parse_args(argv)
     try:
         secs = args.timeout
         if secs is None:
             secs = _budget_secs(os.environ.get(BUDGET_ENV, "inf"))
         with budget(secs):
-            return args.handler(args)
+            code, doc, lines = args.handler(args)
     except PropertyViolation as exc:
         return CommandOutcome(EXIT_PROPERTY, f"error: {exc}")
     except BudgetError as exc:
         return CommandOutcome(EXIT_BUDGET, f"error: {exc}")
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         return CommandOutcome(EXIT_INPUT, f"error: {exc}")
+    return CommandOutcome(code, json.dumps(doc) if args.json else "\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> int:
