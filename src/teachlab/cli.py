@@ -14,7 +14,8 @@ strings), otherwise the lines are printed.  The text names every file a
 command writes; the JSON names the files of nctd --emit-teacher
 ("teacher_file"), johnson hmax --witness ("witness_file") and experiment
 tdmin --out ("csv").  An error prints one "error: ..." line in both
-forms.
+forms.  Two combinations that would drop an option exit 2: td --concept
+with --csv, and experiment tdmin --out - with --json.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def _cmd_bounds(args) -> Report:
 
 
 def _cmd_experiment_tdmin(args) -> Report:
+    # refused before the trials run, rather than print one form and drop the other
+    if args.out == "-" and args.json:
+        raise ValueError("--out - prints the CSV; it cannot be combined with --json")
     cfg = ExperimentConfig(n=args.n, trials=args.trials, seed=args.seed)
     records, summary = run_tdmin_experiment(cfg, jobs=args.jobs)
     csv_lines = ["trial,seed,n,td_min,nctd"]
@@ -438,9 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "td", _cmd_td, "teaching dimensions of a class")
     p.add_argument("--class", dest="class_file", required=True, metavar="FILE")
-    p.add_argument("--concept", type=int, metavar="INDEX",
-                   help="report a single concept (0-based class order)")
-    p.add_argument("--csv", metavar="FILE", help="write concept_index,td,witness rows")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--concept", type=int, metavar="INDEX",
+                     help="report a single concept (0-based class order)")
+    one.add_argument("--csv", metavar="FILE", help="write concept_index,td,witness rows")
 
     p = leaf(sub, "rtd", _cmd_rtd, "recursive teaching dimension")
     p.add_argument("--class", dest="class_file", required=True, metavar="FILE")

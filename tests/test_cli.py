@@ -116,6 +116,16 @@ def test_td_csv_export(half3, tmp_path):
     assert len(lines) == 7
 
 
+def test_td_concept_and_csv_are_refused_together(half3, tmp_path, capsys):
+    # --concept reports one concept and would write no CSV
+    out = tmp_path / "td.csv"
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["td", "--class", str(half3), "--concept", "3", "--csv", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rtd_with_oracle_cross_check(half3):
     outcome = dispatch(["rtd", "--class", str(half3), "--oracle"])
     assert outcome.code == EXIT_OK
@@ -328,6 +338,13 @@ def test_experiment_tdmin_n64_csv_golden(tmp_path):
                      "--seed", "20260815", "--out", str(out)]).code
     assert code == EXIT_OK
     assert out.read_bytes() == (GOLDEN / "tdmin_n64_s20260815_t200.csv").read_bytes()
+
+
+def test_experiment_tdmin_csv_to_stdout_refuses_json():
+    outcome = dispatch(["experiment", "tdmin", "--n", "6", "--trials", "3", "--seed", "42",
+                        "--out", "-", "--json"])
+    assert outcome.code == EXIT_INPUT
+    assert outcome.text == "error: --out - prints the CSV; it cannot be combined with --json"
 
 
 @pytest.mark.parametrize("raw", ["0", "-1", "two"])
