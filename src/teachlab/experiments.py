@@ -7,9 +7,9 @@ exhaustive searches (dimension-1 characterization, maximum-class search)
 enumerate concept classes directly as subsets of the 2^n concept masks and
 lean on the order-d teacher decision procedure, once per orbit of classes
 under the symmetries of the n-cube (domain permutations and XOR by a
-concept mask), which keep every clash; they apply its trace count
-themselves from trace vectors built once for all 2^n concepts.
-Maximum witnesses are reported as canonical forms under domain permutation.
+concept mask), which keep every clash.  Maximum witnesses are reported as
+canonical forms under domain permutation, read from the same tables of
+concept images under each permutation.
 
 The threshold and claim arithmetic uses base-2 logarithms throughout.
 Binomials are exact integers however large; the only approximate step is
@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import comb
-from typing import Callable
 
 from .bounds import ksz_bound
 from .classical import td_min
 from .concepts import ConceptClass, instances_to_mask
 from .errors import BudgetError, _deadline, _resume_budget
-from .ncteach import _trace_vectors, decide_order, nctd
+from .ncteach import decide_order, nctd
 from .rng import stream
 from .tournaments import Tournament, all_tournaments, class1, class2, random_tournament
 
@@ -337,21 +334,6 @@ class Dim1Report:
         return self.passing == self.expected
 
 
-def _count_refutes(n: int, d: int, size: int) -> Callable[[tuple[int, ...]], bool]:
-    """A test of size-concept classes over [n]: True when the order-d trace
-    count falls short, so that decide_order would return None.
-
-    The count is decide_order's own, the popcount of the OR of the packed
-    trace vectors of a class's concepts; the vectors of all 2^n concepts are
-    computed once here.
-    """
-    if not (0 < d < n and size > 1):
-        return lambda combo: False
-    vectors = list(_trace_vectors(range(1 << n), n, d))
-    need = size * (n - d)
-    return lambda combo: reduce(operator.or_, map(vectors.__getitem__, combo)).bit_count() < need
-
-
 def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
     while mask:
@@ -361,7 +343,14 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ...]]]:
+def _perm_tables(n: int) -> list[list[int]]:
+    """Per permutation of the instances of [n], the identity first: the image of each concept."""
+    return [[_apply_perm(c, perm) for c in range(1 << n)]
+            for perm in itertools.permutations(range(n))]
+
+
+def _decided_classes(n: int, d: int, size: int,
+                     tables: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
     """The number of size-concept classes over [n], counted as they are
     decided, and those with an order-d teacher, as combination tuples in
     itertools.combinations order.
@@ -370,21 +359,19 @@ def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ..
     v keeps every c ^ c', and permuting the instances maps each set S to its
     image and keeps every clash too.  So the images of a class under the
     cube group (the n! permutations composed with the 2^n translations) have
-    the same teachers and the same trace count.  Each class is looked up by
-    its 2^n-bit class mask; the first class of an orbit runs the trace count
-    and, when the count leaves it open, decide_order, and its verdict is
-    stored under the mask of every image.  For each permutation a Gray-code
-    walk over v starts from the permuted class: flipping bit i of v swaps
-    each block of 2^i concepts without instance i+1 with the block above it.
+    the same teachers.  Each class is looked up by its 2^n-bit class mask;
+    the first class of an orbit runs decide_order, and its verdict is stored
+    under the mask of every image.  For each permutation (tables, from
+    _perm_tables(n)) a Gray-code walk over v starts from the permuted class:
+    flipping bit i of v swaps each block of 2^i concepts without instance
+    i+1 with the block above it.
     The scan stops once every class has a verdict, which at (4, 1, 8) is
     after 5,279 of the 12,870 combinations.  The verdicts live for this call
     only.
     """
     total = 1 << n
-    refuted = _count_refutes(n, d, size)
     # per permutation, the identity first: the bit of each concept's image
-    images = [[1 << _apply_perm(c, perm) for c in range(total)]
-              for perm in itertools.permutations(range(n))]
+    images = [[1 << c for c in table] for table in tables]
     bits = images[0]
     # per step of the walk: the block width and the concepts without the flipped instance
     swaps = [(1 << i, sum(b for c, b in enumerate(bits) if not c >> i & 1))
@@ -396,7 +383,7 @@ def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ..
     for combo in itertools.combinations(range(total), size):
         if verdicts[sum(map(bits.__getitem__, combo))]:
             continue
-        verdict = 1 if refuted(combo) or decide_order(list(combo), n, d) is None else 2
+        verdict = 1 if decide_order(list(combo), n, d) is None else 2
         for image in images:
             key = sum(map(image.__getitem__, combo))
             if verdicts[key]:
@@ -424,9 +411,9 @@ def verify_dim1(n: int) -> Dim1Report:
 
     Every class is counted as a candidate as it is decided, one call to
     decide_order per orbit of the cube group (_decided_classes).  At n = 4
-    the 12,870 classes fall into 74 orbits; the order-1 trace count refutes
-    41 of them (7,908 classes) and decide_order the other 33 (4,962
-    classes).  n = 4 takes about 0.015 s.
+    the 12,870 classes fall into 74 orbits, so decide_order is called 74
+    times; its trace count refutes 41 of them (7,908 classes).  n = 4 takes
+    about 0.015 s.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -434,17 +421,16 @@ def verify_dim1(n: int) -> Dim1Report:
         raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")
     size = 2 * n
     full = (1 << n) - 1
-    candidates, admissible = _decided_classes(n, 1, size)
+    candidates, admissible = _decided_classes(n, 1, size, _perm_tables(n))
     passing = frozenset(map(frozenset, admissible))
     expected = frozenset(frozenset(class2(g).masks) for g in all_tournaments(n))
     closed = all(all((full ^ m) in cls for m in cls) for cls in passing)
     return Dim1Report(n, candidates, passing, expected, closed)
 
 
-def _canonical_class(masks, n: int) -> tuple[int, ...]:
-    """Least image of the class under all domain permutations."""
-    return min(tuple(sorted(_apply_perm(m, perm) for m in masks))
-               for perm in itertools.permutations(range(n)))
+def _canonical_class(masks: tuple[int, ...], tables: list[list[int]]) -> tuple[int, ...]:
+    """Least image of the class under all domain permutations (_perm_tables)."""
+    return min(tuple(sorted(map(table.__getitem__, masks))) for table in tables)
 
 
 @dataclass(frozen=True)
@@ -469,7 +455,7 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     is budgeted for n <= 4 and d <= 2; beyond that only the greedy
     lower-bound witness and the counting upper bound are reported.  Each
     size is decided one orbit of the cube group at a time
-    (_decided_classes): at (4, 1) the 12,870 classes of size 8 need 33
+    (_decided_classes): at (4, 1) the 12,870 classes of size 8 need 74
     calls to decide_order, and the search takes about 0.02 s.
     """
     if not 1 <= d <= n:
@@ -486,10 +472,11 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
         return MaxClassResult(n, d, "exact", lower, (witness,), lower, lower)
     if n > 4 or d > 2:
         return MaxClassResult(n, d, "inconclusive", None, (witness,), lower, upper)
+    tables = _perm_tables(n)
     for size in range(upper, lower - 1, -1):
-        _, passing = _decided_classes(n, d, size)
+        _, passing = _decided_classes(n, d, size, tables)
         if passing:
-            canon = sorted({_canonical_class(c, n) for c in passing})
+            canon = sorted({_canonical_class(c, tables) for c in passing})
             witnesses = tuple(ConceptClass.from_masks(c, n) for c in canon)
             return MaxClassResult(n, d, "exact", size, witnesses, size, size)
     raise AssertionError("greedy witness size is always attainable")

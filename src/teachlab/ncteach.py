@@ -9,33 +9,31 @@ assignment, which checks each candidate against all earlier concepts at
 once in lanes of one int, then a trace count that can refute order d
 outright: the concepts whose sets lie inside one (d+1)-set D take distinct
 traces on D, so the distinct traces summed over all D must cover every
-concept n-d times.  The sum is the popcount of the OR of packed trace
-vectors: one int per concept with a field of 2^(d+1) bits per D, the AND
-of n masks cached per (n, d).  The exhaustive enumerations in experiments
-build the vectors of all 2^n concepts once and apply the count themselves,
-once per orbit of classes under domain permutations and XOR by a concept
-mask (which keep every clash), so decide_order sees one class per orbit
-that the count leaves open.  When the sum ties exactly, every D holds one
-concept per trace, and a concept that is the only possible carrier of some
-trace on D must take a d-set inside D; propagating this, over tables of
-each D's instances and candidates cached per (n, d), until some trace has
-no carrier left refutes most tied classes: 4,704 of the 4,936 tied
+concept n-d times.  The count walks the (d+1)-sets, splits the class on
+the columns of each set's instances and counts the nonempty cells, one per
+distinct trace, until the sum passes what order d needs.  The exhaustive
+enumerations in experiments call decide_order once per orbit of classes
+under domain permutations and XOR by a concept mask, which keep every
+clash.  When the sum ties exactly, every D holds one concept per trace,
+and a concept that is the only possible carrier of some trace on D must
+take a d-set inside D; propagating this over the same cells, with each D's
+candidates from tables cached per (n, d), until some trace has no carrier
+left refutes most tied classes: 4,704 of the 4,936 tied
 2n-concept classes over [4] that the greedy leaves open and that are not
 tournament classes.  Otherwise it backtracks over concepts with forward
 checking, on an explicit stack: each concept's surviving candidates are a
 bitmask over the lexicographic list of d-subsets, the concept with the
 fewest survivors is assigned next (ties by concept order), and candidates
 are tried in lexicographic order, so the first witness found is
-deterministic.  Every step reads the search budget: the greedy, the trace
-count's tables and vectors by the bits they build, the propagation and the
-search every 1,024 steps.
+deterministic.  Every step reads the search budget: the greedy by the bits
+it handles, the cell walk, the propagation and the search every 1,024
+steps.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -194,61 +192,6 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
 
 
 @functools.cache
-def _value_masks(n: int, d: int) -> tuple[tuple[int, int], ...]:
-    """Per instance x of [n], the trace-vector bits consistent with x = 0 and with x = 1.
-
-    A trace vector (0 < d < n) has one field of 2^(d+1) bits per (d+1)-subset
-    D of [n], the lowest field for the lexicographically first D.  Bit p of
-    D's field stands for the trace whose value on the j-th smallest instance
-    of D is bit j of p.  Every bit of D's field is consistent with x = b
-    when x lies outside D, and half of them when x is D's j-th instance.
-    The budget is read by work (errors._WORK_PER_READ), a row counting its bits.
-    """
-    width = 1 << (d + 1)
-    digits = width // 4  # hex digits per field, a whole number since d >= 1
-    # half[b][j]: the field bits p with bit j of p equal to b; half[b][-1]: every bit
-    half = [[format(sum(1 << p for p in range(width) if p >> j & 1 == b), f"0{digits}x")
-             for j in range(d + 1)] + ["f" * digits] for b in (0, 1)]
-    # a hex string starts at its most significant digit, so the last D comes first
-    top_first = list(itertools.combinations(range(n), d + 1))[::-1]
-    table = []
-    work = 0
-    for x in range(n):
-        work += 1024 + (len(top_first) << (d + 2))  # the row's two ints
-        if work > _WORK_PER_READ:
-            check_budget(f"order-{d} trace count")
-            work = 0
-        where = [dset.index(x) if x in dset else -1 for dset in top_first]
-        table.append((int("".join(half[0][j] for j in where), 16),
-                      int("".join(half[1][j] for j in where), 16)))
-    return tuple(table)
-
-
-def _trace_vectors(masks: Iterable[int], n: int, d: int) -> Iterator[int]:
-    """Each concept's packed trace vector: the bit of its trace on every (d+1)-subset of [n].
-
-    Concepts with the same trace on D set the same bit of D's field, so the
-    popcount of the OR of a class's vectors is its number of distinct
-    traces summed over all D: the trace count of decide_order.  The vectors
-    are yielded one at a time, so an OR over them holds one at a time.  The
-    budget is read by work (errors._WORK_PER_READ), a vector counting its bits.
-    """
-    table = _value_masks(n, d)
-    size = comb(n, d + 1) << (d + 1)
-    work = 0
-    for c in masks:
-        work += 1024 + size
-        if work > _WORK_PER_READ:
-            check_budget(f"order-{d} trace count")
-            work = 0
-        v = -1
-        for pair in table:
-            v &= pair[c & 1]
-            c >>= 1
-        yield v
-
-
-@functools.cache
 def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """Per (d+1)-subset D of [n], lexicographically: its instances (0-based), the
     indices of the d-subsets inside D in the lexicographic list of d-subsets, and
@@ -264,22 +207,17 @@ def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(groups)
 
 
-def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) -> bool:
-    """True when a tied trace count leaves a trace on some (d+1)-set without a carrier.
+def _trace_cells(masks: list[int] | tuple[int, ...], n: int,
+                 d: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """Per (d+1)-subset D of [n], lexicographically: the candidates inside D, the
+    candidate bits outside D (_carrier_groups), and D's cells.
 
-    A cell is the set of concepts sharing one trace on one (d+1)-set D; at a
-    tie exactly one of them takes a d-set inside D.  The cells of D come
-    from splitting the whole class on the column (the concepts containing
-    x) of each instance x of D.  alive[s] holds the concepts that may still
-    take candidate s and dom[i] the candidates concept i may still take, so
-    a cell's possible carriers are its concepts alive at some s inside D.  A
-    lone carrier is confined to the candidates inside D, which can strip
-    other cells of their carriers.  This repeats until nothing changes or a
-    cell has no carrier left; since the cells number exactly |masks| * (n-d)
-    at a tie, that is when fewer traces than the count needs still have a
-    carrier.
+    A cell is a nonempty set of concepts, as bits in concept order, that
+    share one trace on D, so D has one cell per distinct trace.  The cells
+    come from splitting the class on the column (the concepts containing x)
+    of each instance x of D.  The budget is read every 1,024 sets, under the
+    name of the carrier propagation that the cells feed.
     """
-    full = (1 << len(masks)) - 1
     columns = [0] * n
     bit = 1
     for c in masks:
@@ -288,15 +226,10 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) ->
             columns[low.bit_length() - 1] |= bit
             c ^= low
         bit <<= 1
-    ncand = comb(n, d)
-    alive = [full] * ncand
-    dom = [(1 << ncand) - 1] * len(masks)
-    groups: list[tuple[tuple[int, ...], int, list[int]]] = []
-    steps = 0
-    for dset, inside, outside in _carrier_groups(n, d):
+    full = (1 << len(masks)) - 1
+    for steps, (dset, inside, outside) in enumerate(_carrier_groups(n, d)):
         if not steps & 1023:
             check_budget(f"order-{d} carrier propagation")
-        steps += 1
         cells = [full]
         for x in dset:
             column = columns[x]
@@ -308,7 +241,27 @@ def _lone_carriers_refute(masks: list[int] | tuple[int, ...], n: int, d: int) ->
                 if on != cell:
                     split.append(cell ^ on)
             cells = split
-        groups.append((inside, outside, cells))
+        yield inside, outside, cells
+
+
+def _lone_carriers_refute(groups: list[tuple[tuple[int, ...], int, list[int]]], m: int,
+                          n: int, d: int) -> bool:
+    """True when a tied trace count leaves a trace on some (d+1)-set without a carrier.
+
+    groups holds _trace_cells' triples for every (d+1)-set D, of a class of
+    m concepts with m * (n-d) cells in all; at this tie exactly one concept
+    of each cell takes a d-set inside D.  alive[s] holds the concepts that
+    may still take candidate s and dom[i] the candidates concept i may still
+    take, so a cell's possible carriers are its concepts alive at some s
+    inside D.  A lone carrier is confined to the candidates inside D, which
+    can strip other cells of their carriers.  This repeats until nothing
+    changes or a cell has no carrier left, which is when fewer traces than
+    the count needs still have a carrier.
+    """
+    ncand = comb(n, d)
+    alive = [(1 << m) - 1] * ncand
+    dom = [(1 << ncand) - 1] * m
+    steps = 0
     changed = True
     while changed:
         changed = False
@@ -346,21 +299,19 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     d-sets S, S' lie inside one (d+1)-set D differ on S | S', which is S or
     D, so D holds at most |{c & D}| of them.  Each d-set lies in n-d of the
     D, so an admissible teacher needs the sum of |{c & D}| over all D to
-    reach |masks| * (n-d).  The sum is the popcount of the OR of the
-    concepts' packed trace vectors (_trace_vectors).  verify_dim1 and
-    max_class_search apply the same count once per orbit of classes under
-    the cube group (instances permuted, every concept XORed with one mask),
-    and call here once per orbit it leaves open, since both maps keep every
-    clash.
+    reach |masks| * (n-d).  The sum is taken over D's cells (_trace_cells),
+    and it stops once it passes that need, as then it can neither refute
+    nor tie.
 
     When the sum equals |masks| * (n-d), every D must be filled to that
     capacity: each trace on D is carried by exactly one concept whose d-set
     lies inside D.  A concept that is the only remaining possible carrier of
     a trace on D must therefore take a d-set inside D, which can leave
     another trace, on another D, with no carrier at all; order d is then
-    refuted without a search.  The propagation reads each (d+1)-set's
-    instances and candidates from tables cached per (n, d).  This rule only
-    refutes: the search still starts from full domains.
+    refuted without a search.  The propagation runs over the cells that the
+    count split, with each (d+1)-set's candidates from tables cached per
+    (n, d).  This rule only refutes: the search still starts from full
+    domains.
     """
     m = len(masks)
     if m == 0:
@@ -374,11 +325,18 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     need = m * (n - d)
     # each (d+1)-set holds a trace, and one holding an instance on which two
     # concepts differ holds two: with need or more (d+1)-sets the count
-    # neither falls short nor ties, and its vectors are not built
+    # neither falls short nor ties, and no cells are split
     if 0 < d < n and m > 1 and comb(n, d + 1) < need:
-        room = functools.reduce(operator.or_, _trace_vectors(masks, n, d)).bit_count()
-        if room < need or room == need and _lone_carriers_refute(masks, n, d):
-            return None
+        groups = []
+        room = 0
+        for group in _trace_cells(masks, n, d):
+            room += len(group[2])
+            if room > need:
+                break
+            groups.append(group)
+        else:
+            if room < need or _lone_carriers_refute(groups, m, n, d):
+                return None
 
     cands = list(_subset_masks(n, d))
     ncand = len(cands)

@@ -186,7 +186,8 @@ def test_verify_dim1_rejects_n_below_1(n):
 def test_decided_classes_match_a_decision_per_class(n, d, size):
     plain = [(combo, experiments.decide_order(list(combo), n, d) is not None)
              for combo in itertools.combinations(range(1 << n), size)]
-    assert experiments._decided_classes(n, d, size) == (len(plain), [c for c, ok in plain if ok])
+    decided = experiments._decided_classes(n, d, size, experiments._perm_tables(n))
+    assert decided == (len(plain), [c for c, ok in plain if ok])
 
 
 def test_translating_a_class_keeps_its_nctd():
@@ -224,7 +225,7 @@ def test_permuting_and_translating_a_class_keeps_its_nctd():
 
 def test_verify_dim1_decides_once_per_symmetry_orbit(monkeypatch):
     # 12,870 classes of 8 concepts over [4] fall into 74 orbits of the cube
-    # group; the order-1 trace count refutes 41 of them
+    # group, each decided by one call
     calls = []
     decide = experiments.decide_order
 
@@ -235,13 +236,13 @@ def test_verify_dim1_decides_once_per_symmetry_orbit(monkeypatch):
     monkeypatch.setattr(experiments, "decide_order", counting)
     rep = verify_dim1(4)
     assert rep.candidates == 12870 and rep.ok
-    assert len(calls) == 33
+    assert len(calls) == 74
     calls.clear()
     assert max_class_search(4, 1).size == 8
-    assert len(calls) == 16 + 33  # the greedy, then size 8
+    assert len(calls) == 16 + 74  # the greedy, then size 8
     calls.clear()
     assert verify_dim1(3).candidates == 28
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_enumeration_outputs_match_recorded_digest():

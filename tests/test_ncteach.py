@@ -5,10 +5,8 @@ their assigned sets; a teacher is admissible when no pair clashes.  The
 dimension NCTD(k) is the least order any admissible teacher can have.
 """
 
-import functools
 import hashlib
 import itertools
-import operator
 import os
 import random
 import subprocess
@@ -45,7 +43,7 @@ from teachlab import (
     serialize_teacher,
 )
 from teachlab.cli import EXIT_BUDGET, main
-from teachlab.ncteach import _greedy_order1, _lone_carriers_refute, _trace_vectors, _value_masks
+from teachlab.ncteach import _carrier_groups, _greedy_order1, _lone_carriers_refute, _trace_cells
 
 from oracles import brute_nctd
 
@@ -187,7 +185,11 @@ def _trace_room(masks, n: int, d: int) -> int:
                for dset in itertools.combinations(range(1, n + 1), d + 1))
 
 
-def test_packed_trace_count_matches_counting_traces_by_sets():
+def _tied_refute(masks, n: int, d: int) -> bool:
+    return _lone_carriers_refute(list(_trace_cells(masks, n, d)), len(masks), n, d)
+
+
+def test_cell_count_matches_counting_traces_by_sets():
     rng = random.Random(909)
     cases = []
     for _ in range(120):
@@ -196,16 +198,16 @@ def test_packed_trace_count_matches_counting_traces_by_sets():
         cases += [(masks, n, d) for d in range(1, n)]
     cases += [(combo, 4, d) for combo in itertools.combinations(range(16), 8) for d in (1, 2, 3)]
     for masks, n, d in cases:
-        packed = functools.reduce(operator.or_, _trace_vectors(masks, n, d)).bit_count()
-        assert packed == _trace_room(masks, n, d)
+        cells = sum(len(group[2]) for group in _trace_cells(masks, n, d))
+        assert cells == _trace_room(masks, n, d)
 
 
-def test_trace_vectors_are_not_built_when_the_sets_outnumber_the_need():
+def test_cells_are_not_split_when_the_sets_outnumber_the_need():
     # C(16, 7) = 11,440 seven-sets against a need of 2 * 10: the count can
-    # neither fall short nor tie, so no 1.5-Mbit trace vectors are built
-    before = _value_masks.cache_info()
+    # neither fall short nor tie, so the 11,440 sets are not walked
+    before = _carrier_groups.cache_info()
     assert decide_order([0, 1], 16, 6) is not None
-    after = _value_masks.cache_info()
+    after = _carrier_groups.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
 
 
@@ -281,7 +283,7 @@ def test_lone_carriers_refute_most_tied_classes_over_4():
         if _greedy_order1(combo, 4) is not None or _trace_room(combo, 4, 1) != 24:
             continue
         tied += 1
-        if _lone_carriers_refute(combo, 4, 1):
+        if _tied_refute(combo, 4, 1):
             refuted += 1
             assert frozenset(combo) not in tournament_classes
     assert (tied, refuted) == (4961, 4704)
@@ -311,6 +313,17 @@ def test_steps_before_the_order1_search_read_the_budget():
         with budget(0.5):
             decide_order(masks, 300, 1)
     assert time.monotonic() - start < 0.5 + 1.0
+
+
+def test_order1_count_and_propagation_finish_on_600_concepts():
+    # the cell walk ties over 44,850 pairs and the propagation refutes
+    # nothing, together in about 0.5 s on 2 vCPUs, so only the search can
+    # reach the deadline
+    masks = list(class2(random_tournament(300, 0)).masks)
+    random.Random(0).shuffle(masks)
+    with pytest.raises(BudgetError, match="order-1 teacher search hit its deadline"):
+        with budget(2):
+            decide_order(masks, 300, 1)
 
 
 def _plain_first_fit(masks, n):
@@ -366,7 +379,7 @@ def test_tied_classes_agree_with_milp():
             ok = order_feasible(masks, n, 1)
             assert (decide_order(masks, n, 1) is not None) == ok
             feasible += ok
-            refuted += _greedy_order1(masks, n) is None and _lone_carriers_refute(masks, n, 1)
+            refuted += _greedy_order1(masks, n) is None and _tied_refute(masks, n, 1)
         assert (feasible, refuted) == (5, expect_refuted)
 
 
