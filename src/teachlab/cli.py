@@ -10,12 +10,15 @@ arguments; randomness only enters through an explicit --seed.
 
 Each handler returns its exit code, a JSON object and text lines, and
 dispatch renders them once: --json prints the object (rationals as
-strings), otherwise the lines are printed.  The text names every file a
-command writes; the JSON names the files of nctd --emit-teacher
-("teacher_file"), johnson hmax --witness ("witness_file") and experiment
-tdmin --out ("csv").  An error prints one "error: ..." line in both
-forms.  Two combinations that would drop an option exit 2: td --concept
-with --csv, and experiment tdmin --out - with --json.
+strings), otherwise the lines are printed.  Both forms name every file a
+command writes; the JSON keys are "csv" (td --csv, experiment tdmin
+--out), "teacher_file" (nctd --emit-teacher), "tournament_file"
+(tournament gen --out), "class_file" (tournament class --out) and
+"witness_file" (johnson hmax --witness).  An error raised by a handler
+prints one "error: ..." line, or {"error": "..."} under --json, and exits
+with the code its exception type maps to.  Two combinations that would
+drop an option exit 2: td --concept with --csv, and experiment tdmin
+--out - with --json.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ def _cmd_td(args) -> Report:
         csv_lines = ["concept_index,td,witness"]
         csv_lines += [f"{i},{size},{_witness_str(w)}" for i, _, size, w in rows]
         _write(args.csv, "\n".join(csv_lines) + "\n")
+        doc["csv"] = args.csv
         lines.append(f"wrote CSV to {args.csv}")
     return EXIT_OK, doc, lines
 
@@ -237,10 +241,12 @@ def _tournament_json(g: Tournament) -> dict:
 def _cmd_tournament_gen(args) -> Report:
     g = linear_tournament(args.n) if args.linear else random_tournament(args.n, args.seed)
     text = serialize_tournament(g)
+    doc = _tournament_json(g)
     if not args.out:
-        return EXIT_OK, _tournament_json(g), text.splitlines()
+        return EXIT_OK, doc, text.splitlines()
     _write(args.out, text)
-    return EXIT_OK, _tournament_json(g), [f"wrote tournament to {args.out}"]
+    doc["tournament_file"] = args.out
+    return EXIT_OK, doc, [f"wrote tournament to {args.out}"]
 
 
 def _cmd_tournament_class(args) -> Report:
@@ -251,6 +257,7 @@ def _cmd_tournament_class(args) -> Report:
     if not args.out:
         return EXIT_OK, doc, text.splitlines()
     _write(args.out, text)
+    doc["class_file"] = args.out
     return EXIT_OK, doc, [f"wrote {len(k)} concepts to {args.out}"]
 
 
@@ -536,6 +543,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each exception type that a handler may raise (disjoint types)
+_ERROR_EXITS = {
+    PropertyViolation: EXIT_PROPERTY,
+    BudgetError: EXIT_BUDGET,
+    ValueError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+    argparse.ArgumentTypeError: EXIT_INPUT,
+}
+
+
 def dispatch(argv: list[str]) -> CommandOutcome:
     """Run one command; --json prints the handler's object, otherwise its text lines."""
     args = _build_parser().parse_args(argv)
@@ -545,12 +562,9 @@ def dispatch(argv: list[str]) -> CommandOutcome:
             secs = _budget_secs(os.environ.get(BUDGET_ENV, "inf"))
         with budget(secs):
             code, doc, lines = args.handler(args)
-    except PropertyViolation as exc:
-        return CommandOutcome(EXIT_PROPERTY, f"error: {exc}")
-    except BudgetError as exc:
-        return CommandOutcome(EXIT_BUDGET, f"error: {exc}")
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        return CommandOutcome(EXIT_INPUT, f"error: {exc}")
+    except tuple(_ERROR_EXITS) as exc:
+        code = next(c for kind, c in _ERROR_EXITS.items() if isinstance(exc, kind))
+        doc, lines = {"error": str(exc)}, [f"error: {exc}"]
     return CommandOutcome(code, json.dumps(doc) if args.json else "\n".join(lines))
 
 

@@ -344,7 +344,8 @@ def test_experiment_tdmin_csv_to_stdout_refuses_json():
     outcome = dispatch(["experiment", "tdmin", "--n", "6", "--trials", "3", "--seed", "42",
                         "--out", "-", "--json"])
     assert outcome.code == EXIT_INPUT
-    assert outcome.text == "error: --out - prints the CSV; it cannot be combined with --json"
+    assert json.loads(outcome.text) == {
+        "error": "--out - prints the CSV; it cannot be combined with --json"}
 
 
 @pytest.mark.parametrize("raw", ["0", "-1", "two"])
