@@ -1,6 +1,8 @@
 """The public surface: each module's __all__ declares it, the root re-exports it."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import teachlab
 
@@ -30,3 +32,17 @@ def test_mask64_stays_in_rng_only():
     assert MASK64 == (1 << 64) - 1
     assert "MASK64" not in teachlab.__all__
     assert not hasattr(teachlab, "MASK64")
+
+
+def test_every_imported_name_is_used():
+    # an import that its module never reads is left over from deleted code
+    for path in sorted(Path(teachlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
