@@ -23,9 +23,8 @@ functions here, and they share no search code:
   rtd_bruteforce uses the decision too, so both stay references
   independent of the cell-splitting searches.
 
-Every search is a loop on an explicit stack that reads the search budget
-(errors.budget); the cell-splitting searches read it by the bits of lanes
-they handle, so frames over wide lanes read it more often.
+Every search is a loop on an explicit stack that charges its steps to a
+step meter (errors).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
-from .errors import _WORK_PER_READ, BudgetError, check_budget
+from .errors import BudgetError, _charges, _steps
 
 __all__ = [
     "TeachingReport",
@@ -63,11 +62,9 @@ def _hit_decision(masks: list[int], budget: int) -> bool:
     instance is taken.  An empty mask cannot be hit.
     """
     stack: list[list] = []
-    nodes = 0
+    step = _steps("hitting-set search")
     while True:
-        if not nodes & 1023:
-            check_budget("hitting-set search")
-        nodes += 1
+        step()
         if not masks:
             return True
         bits = 0
@@ -127,7 +124,7 @@ def _lex_min_witness(masks: list[int], size: int) -> int:
     """
     stack: list[list] = []
     rest, chosen = masks, 0
-    backtracks = 0
+    step = _steps("lex-least witness search")  # a step is a backtrack
     while rest:
         top = min(m.bit_length() for m in rest)
         cands = 0
@@ -141,9 +138,7 @@ def _lex_min_witness(masks: list[int], size: int) -> int:
             rest, chosen, cands = frame
             if not cands:
                 stack.pop()
-                if not backtracks & 1023:
-                    check_budget("lex-least witness search")
-                backtracks += 1
+                step()
                 continue
             low = cands & -cands
             frame[2] = cands ^ low
@@ -202,7 +197,7 @@ def _swap_masks(side: int, blocks: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _columns(masks: tuple[int, ...], n: int) -> list[int]:
+def _columns(masks: tuple[int, ...] | list[int], n: int) -> list[int]:
     """Each instance's column, the bitset of the concepts containing it, in instance order.
 
     The bit matrix with a row per concept is padded with zeros and cut into
@@ -216,6 +211,8 @@ def _columns(masks: tuple[int, ...], n: int) -> list[int]:
     run across the instances.
     """
     m = len(masks)
+    if not m:
+        return [0] * n
     side = max(8, 1 << (min(m, n) - 1).bit_length())
     bb = side // 8
     tall, wide = -(-m // side), -(-n // side)
@@ -307,19 +304,17 @@ def _easiest(k: ConceptClass, live: int) -> int:
     parts it makes; other frames push their parts so that the smallest is
     popped first: a level that fails visits them all, and the level that
     succeeds meets a one-concept part sooner.  Each frame and each lane test
-    charges 1,024 plus the bits of the lanes or columns it reads, and the
-    budget is read once the charges pass _WORK_PER_READ: every 1,024 steps
-    over narrow lanes, every step over lanes of a million bits.
+    is a step over the bits of the lanes or columns it reads (errors).
     """
     if live & (live - 1) == 0:
         return 0
     splitters = _splitters(k, live)[0]
     count, width = len(splitters), live.bit_length() + 1
     lanes = _lanes(splitters, width)
-    check_budget("teaching-set search")
+    charge = _charges("teaching-set search")
+    charge(count * width)
     if _lone_lanes(live, 0, lanes):
         return 1
-    work = 0
     for s in range(2, k.n + 1):
         stack = [(0, live, 0, s)]
         while stack:
@@ -328,18 +323,12 @@ def _easiest(k: ConceptClass, live: int) -> int:
                 for j in range(start, count):
                     a = cell & splitters[j]
                     if a and a != cell:
-                        work += 1024 + (count - j) * width
-                        if work > _WORK_PER_READ:
-                            check_budget("teaching-set search")
-                            work = 0
+                        charge((count - j) * width)
                         shift = (j + 1) * width
                         if _lone_lanes(a, shift, lanes) or _lone_lanes(cell ^ a, shift, lanes):
                             return s
                 continue
-            work += 1024 + (count - start) * width
-            if work > _WORK_PER_READ:
-                check_budget("teaching-set search")
-                work = 0
+            charge((count - start) * width)
             parts = []
             for j in range(start, count):
                 a = cell & splitters[j]
@@ -372,22 +361,18 @@ def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, 
     Each mask the sequence has not hit needs a later splitter of its own, so
     c leaves a frame (of depth left >= 2) once such masks outnumber the
     depth left or one has no later splitter.  With peel, want is the live
-    class itself, and every cell is cut to it as it is resumed.  The budget
-    is read as in _easiest.  Returns the recorded sequences, keyed by
-    concept bit.
+    class itself, and every cell is cut to it as it is resumed.  A frame is a
+    step, as in _easiest.  Returns the recorded sequences, keyed by concept bit.
     """
     found: dict[int, int] = {}
     count, width = len(cols), root.bit_length() + 1
     lanes = _lanes(cols, width)
     stack = [[root, 0, s, 0, root & want]]
-    work = _WORK_PER_READ  # read the budget at the first frame
+    charge = _charges("teaching-set search")
     while stack and want:
         frame = stack[-1]
         cell, j, budget, path, cands = frame
-        work += 1024 + (count - j) * width
-        if work > _WORK_PER_READ:
-            check_budget("teaching-set search")
-            work = 0
+        charge((count - j) * width)
         cands &= want
         if peel:
             cell &= want
@@ -511,13 +496,11 @@ def teaching_report(k: ConceptClass) -> TeachingReport:
         raise ValueError("teaching report of an empty class")
     full = (1 << m) - 1
     cols, xs = _splitters(k, full)
-    rows = [0] * m  # concept -> the splitters that contain it
-    for j, h in enumerate(cols):
-        for i in mask_to_instances(h):
-            rows[i - 1] |= 1 << j
+    rows = _columns(cols, m)  # concept -> the splitters that contain it
+    step = _steps("teaching-set search", m * len(cols))
     packs = []
     for i in range(m):
-        check_budget("teaching-set search")
+        step()
         packs.append(_packing(_sorted_diffs(rows, i)))
     bounds = [len(p) for p in packs]
     sizes = [0] * m

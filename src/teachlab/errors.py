@@ -3,16 +3,18 @@
 The command-line layer maps these onto distinct exit codes: FormatError is
 bad input (exit 2), BudgetError is an exceeded search budget (exit 3), and
 PropertyViolation is a mathematically meaningful failure such as a broken
-precondition or a refuted invariant (exit 1).  Every exact search calls
-check_budget once per call and then at least every 1,024 nodes, sooner
-where nodes handle wide ints (_WORK_PER_READ); ``with budget(secs):``
-sets the deadline it reads, and nested budgets keep the earlier deadline.
+precondition or a refuted invariant (exit 1).  ``with budget(secs):`` sets
+the deadline, and nested budgets keep the earlier one.  Each call of an
+exact search charges its steps to a meter of its own (_steps, _charges): a
+step costs 1,024 units plus the bits it handles, and the meter reads the
+budget at the first step and again each time 2^20 more units have passed.
 """
 
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator
+from itertools import chain, repeat, starmap
+from typing import Callable, Iterator
 
 __all__ = ["BudgetError", "FormatError", "PropertyViolation", "budget", "check_budget"]
 
@@ -29,9 +31,7 @@ class PropertyViolation(RuntimeError):
     """A mathematical precondition or claimed property does not hold."""
 
 
-# a loop whose steps handle ints of very different widths charges each step
-# 1,024 plus the bits it handles, and reads the budget once its charges pass this
-_WORK_PER_READ = 1 << 20
+_WORK_PER_READ = 1 << 20  # the units a search spends between reads of its budget
 
 _deadline = ContextVar("teachlab_deadline", default=float("inf"))  # time.monotonic(), per thread
 
@@ -54,6 +54,37 @@ def check_budget(what: str) -> None:
         raise BudgetError(f"{what} hit its deadline")
 
 
+def _steps(what: str, bits: int = 0) -> Callable[[], object]:
+    """A meter for steps of `bits` bits each: a C-level __next__, cheaper than a counter."""
+    block = -(-_WORK_PER_READ // (1024 + bits))
+    return chain.from_iterable(starmap(_read, repeat((what, block)))).__next__
+
+
+def _read(what: str, steps: int) -> repeat:
+    check_budget(what)
+    return repeat(None, steps)
+
+
+def _charges(what: str, first: bool = True) -> Callable[[int], None]:
+    """A meter for steps of varying bits; first=False defers the first read 2^20 units."""
+    left = 0 if first else _WORK_PER_READ
+
+    def charge(bits: int) -> None:
+        nonlocal left
+        left -= 1024 + bits
+        if left < 0:
+            check_budget(what)
+            left = _WORK_PER_READ
+
+    return charge
+
+
 def _resume_budget(until: float) -> None:
     """Pool initializer: a worker keeps its parent's deadline, as monotonic time is system-wide."""
     _deadline.set(until)
+
+
+def _process_pool(workers: int):
+    """A process pool whose workers keep this thread's deadline."""
+    from concurrent.futures import ProcessPoolExecutor  # here: importing teachlab loads no multiprocessing
+    return ProcessPoolExecutor(workers, initializer=_resume_budget, initargs=(_deadline.get(),))

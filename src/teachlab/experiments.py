@@ -29,7 +29,7 @@ from math import comb
 from .bounds import ksz_bound
 from .classical import td_min
 from .concepts import ConceptClass, instances_to_mask
-from .errors import BudgetError, _deadline, _resume_budget
+from .errors import BudgetError, _process_pool
 from .ncteach import decide_order, nctd
 from .rng import stream
 from .tournaments import Tournament, all_tournaments, class1, class2, random_tournament
@@ -240,11 +240,7 @@ def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[Tr
         raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={cfg.n}")
     args = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if jobs > 1:
-        # imported here so that importing the package does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_resume_budget,
-                                 initargs=(_deadline.get(),)) as pool:
+        with _process_pool(jobs) as pool:
             records = tuple(pool.map(_trial_record, args))
     else:
         records = tuple(_trial_record(a) for a in args)

@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .concepts import _content_lines, _parse_instances, instances_to_mask, mask_to_instances
-from .errors import BudgetError, FormatError, check_budget
+from .errors import BudgetError, FormatError, _steps
 
 __all__ = [
     "CliqueClass",
@@ -172,7 +172,7 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
 
     Exact (with the colex-least maximum witness) when C(n, k) <= exact_limit;
     otherwise reports greedy lower and counting upper bounds, labeled
-    inconclusive.  The exact search reads the budget at every 1,024th backtrack.
+    inconclusive.  Each backtrack of the exact search is a step (errors).
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -216,7 +216,8 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
     # slack sum(t - counts) caps any extension at slack // (n - k)
     stride = n - k
     slack = t * len(dsubs)
-    idx = backtracks = 0
+    idx = 0
+    step = _steps(f"H_{t}({n},{k}) search")
     while True:
         room = nv - idx
         cap = slack // stride
@@ -238,9 +239,7 @@ def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
         # pruned node or leaf: undo the last inclusion and take its exclude branch
         if not path:
             break
-        if not backtracks & 1023:
-            check_budget(f"H_{t}({n},{k}) search")
-        backtracks += 1
+        step()
         idx = path.pop()
         for di in vds[idx]:
             counts[di] -= 1

@@ -25,9 +25,7 @@ checking, on an explicit stack: each concept's surviving candidates are a
 bitmask over the lexicographic list of d-subsets, the concept with the
 fewest survivors is assigned next (ties by concept order), and candidates
 are tried in lexicographic order, so the first witness found is
-deterministic.  Every step reads the search budget: the greedy by the bits
-it handles, the cell walk, the propagation and the search every 1,024
-steps.
+deterministic.  Every stage charges its steps to a step meter (errors).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .concepts import (
     Concept,
@@ -49,7 +47,7 @@ from .concepts import (
     instances_to_mask,
     mask_to_instances,
 )
-from .errors import _WORK_PER_READ, BudgetError, FormatError, check_budget
+from .errors import BudgetError, FormatError, _charges, _steps
 
 __all__ = [
     "NCTeacher",
@@ -162,13 +160,13 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
     candidate is checked against all of them by a few big-int operations: it
     is taken when no lane of (mi*ones ^ packed) & (bit*ones | sets) is zero.
     A completed assignment is admissible by construction; failure says
-    nothing, the caller falls back to the complete search.  The budget is
-    read by work (errors._WORK_PER_READ), a candidate counting its lanes.
+    nothing, the caller falls back to the complete search.  A step is a
+    concept over the lanes its candidates test; the first read waits 2^20 units.
     """
     width = n + 1
     assign: list[int] = []
     packed = sets = ones = 0  # ones: bit 0 of each earlier concept's lane
-    work = 0
+    charge = _charges("order-1 greedy", first=False)
     for i, mi in enumerate(masks):
         diff = mi * ones ^ packed
         guards = ones << n
@@ -179,10 +177,7 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
                 break
         else:
             return None
-        work += (off + 1) * (1024 + i * width)
-        if work > _WORK_PER_READ:
-            check_budget("order-1 greedy")
-            work = 0
+        charge((off + 1) * i * width)
         shift = i * width
         packed |= mi << shift
         sets |= 1 << b + shift
@@ -191,32 +186,31 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
     return assign
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4)  # one table at n = 400 holds 19 MB
 def _carrier_groups(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """Per (d+1)-subset D of [n], lexicographically: its instances (0-based), the
     indices of the d-subsets inside D in the lexicographic list of d-subsets, and
     the candidate bits outside D, as the complement of those inside."""
     index = {cm: s for s, cm in enumerate(_subset_masks(n, d))}
     groups = []
-    for steps, dset in enumerate(itertools.combinations(range(n), d + 1)):
-        if not steps & 1023:
-            check_budget(f"order-{d} carrier propagation")
+    step = _steps(f"order-{d} carrier propagation")
+    for dset in itertools.combinations(range(n), d + 1):
+        step()
         dmask = sum(1 << x for x in dset)
         inside = tuple(index[dmask ^ (1 << x)] for x in dset)
         groups.append((dset, inside, ~sum(1 << s for s in inside)))
     return tuple(groups)
 
 
-def _trace_cells(masks: list[int] | tuple[int, ...], n: int,
-                 d: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+def _trace_cells(masks: list[int] | tuple[int, ...], n: int, d: int,
+                 step: Callable[[], object]) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """Per (d+1)-subset D of [n], lexicographically: the candidates inside D, the
     candidate bits outside D (_carrier_groups), and D's cells.
 
     A cell is a nonempty set of concepts, as bits in concept order, that
     share one trace on D, so D has one cell per distinct trace.  The cells
     come from splitting the class on the column (the concepts containing x)
-    of each instance x of D.  The budget is read every 1,024 sets, under the
-    name of the carrier propagation that the cells feed.
+    of each instance x of D; each set is a step of the propagation they feed.
     """
     columns = [0] * n
     bit = 1
@@ -227,9 +221,8 @@ def _trace_cells(masks: list[int] | tuple[int, ...], n: int,
             c ^= low
         bit <<= 1
     full = (1 << len(masks)) - 1
-    for steps, (dset, inside, outside) in enumerate(_carrier_groups(n, d)):
-        if not steps & 1023:
-            check_budget(f"order-{d} carrier propagation")
+    for dset, inside, outside in _carrier_groups(n, d):
+        step()
         cells = [full]
         for x in dset:
             column = columns[x]
@@ -245,7 +238,7 @@ def _trace_cells(masks: list[int] | tuple[int, ...], n: int,
 
 
 def _lone_carriers_refute(groups: list[tuple[tuple[int, ...], int, list[int]]], m: int,
-                          n: int, d: int) -> bool:
+                          n: int, d: int, step: Callable[[], object]) -> bool:
     """True when a tied trace count leaves a trace on some (d+1)-set without a carrier.
 
     groups holds _trace_cells' triples for every (d+1)-set D, of a class of
@@ -256,19 +249,16 @@ def _lone_carriers_refute(groups: list[tuple[tuple[int, ...], int, list[int]]], 
     inside D.  A lone carrier is confined to the candidates inside D, which
     can strip other cells of their carriers.  This repeats until nothing
     changes or a cell has no carrier left, which is when fewer traces than
-    the count needs still have a carrier.
+    the count needs still have a carrier.  Each set visited is a step.
     """
     ncand = comb(n, d)
     alive = [(1 << m) - 1] * ncand
     dom = [(1 << ncand) - 1] * m
-    steps = 0
     changed = True
     while changed:
         changed = False
         for inside, outside, cells in groups:
-            if not steps & 1023:
-                check_budget(f"order-{d} carrier propagation")
-            steps += 1
+            step()
             reach = 0
             for s in inside:
                 reach |= alive[s]
@@ -327,15 +317,16 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     # concepts differ holds two: with need or more (d+1)-sets the count
     # neither falls short nor ties, and no cells are split
     if 0 < d < n and m > 1 and comb(n, d + 1) < need:
+        step = _steps(f"order-{d} carrier propagation")  # the cell walk's and the propagation's
         groups = []
         room = 0
-        for group in _trace_cells(masks, n, d):
+        for group in _trace_cells(masks, n, d, step):
             room += len(group[2])
             if room > need:
                 break
             groups.append(group)
         else:
-            if room < need or _lone_carriers_refute(groups, m, n, d):
+            if room < need or _lone_carriers_refute(groups, m, n, d, step):
                 return None
 
     cands = list(_subset_masks(n, d))
@@ -386,7 +377,7 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
     # one frame per assigned concept: [concept, untried candidates, undo trail of the tried one]
     first = most_constrained()
     stack = [[first, domains[first], []]]
-    nodes = 0
+    step = _steps(f"order-{d} teacher search", m * n)  # a node scans all m masks
     while stack:
         frame = stack[-1]
         pick, avail, trail = frame
@@ -398,9 +389,7 @@ def decide_order(masks: list[int] | tuple[int, ...], n: int, d: int) -> list[int
             continue
         low = avail & -avail
         frame[1] = avail ^ low
-        if not nodes & 1023:
-            check_budget(f"order-{d} teacher search")
-        nodes += 1
+        step()
         ci = low.bit_length() - 1
         smask = cands[ci]
         assigned[pick] = ci

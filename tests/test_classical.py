@@ -261,15 +261,19 @@ def _plain_splitters(masks, n, live):
     return cols, xs
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 2), (5, 40), (9, 17), (12, 100), (8, 24),
-                                  (16, 8), (37, 23), (100, 7), (129, 65), (300, 9), (1000, 12)])
+@pytest.mark.parametrize("m, n", [(0, 5), (1, 1), (2, 1), (3, 2), (5, 40), (9, 17), (12, 100),
+                                  (8, 24), (16, 8), (37, 23), (100, 7), (129, 65), (300, 9),
+                                  (1000, 12)])
 def test_splitters_match_a_plain_column_build(m, n):
+    # no rows: teaching_report transposes no splitter columns at m = 1
     rng = random.Random(m * 1000 + n)
     masks = []
     while len(masks) < m:
         c = rng.getrandbits(n)
         if c not in masks:
             masks.append(c)
+    assert classical._columns(tuple(masks), n) == [
+        sum(1 << i for i, c in enumerate(masks) if c >> x & 1) for x in range(n)]
     k = ConceptClass.from_masks(masks, n)
     for live in ((1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m)):
         assert classical._splitters(k, live) == _plain_splitters(masks, n, live)

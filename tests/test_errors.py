@@ -1,8 +1,24 @@
 """The search budget: one deadline that every exact search reads."""
 
+import random
+import re
+
 import pytest
 
-from teachlab import BudgetError, budget, check_budget
+from teachlab import (
+    BudgetError,
+    ConceptClass,
+    budget,
+    check_budget,
+    class2,
+    decide_order,
+    h_max,
+    random_tournament,
+    rtd,
+    td_min,
+    td_of,
+    teaching_report,
+)
 
 
 def test_nested_budgets_keep_the_earlier_deadline():
@@ -24,3 +40,34 @@ def test_budget_refuses_nan_and_negative_seconds(secs):
     with pytest.raises(ValueError, match="seconds >= 0"):
         with budget(secs):
             pass
+
+
+def _shuffled_class2(n):
+    masks = list(class2(random_tournament(n, 0)).masks)
+    random.Random(0).shuffle(masks)
+    return masks
+
+
+_K = ConceptClass.from_masks(random.Random(40).sample(range(1 << 10), 20), 10)
+
+# each search's first read under an expired budget, and the name it stops under
+STOPS = {
+    "td_of": (lambda: td_of(_K, _K.concepts[0]), "hitting-set search"),
+    "td_min": (lambda: td_min(_K), "teaching-set search"),
+    "teaching_report": (lambda: teaching_report(_K), "teaching-set search"),
+    "rtd": (lambda: rtd(_K), "teaching-set search"),
+    # the greedy fails on this order and defers its first read
+    "decide_order-d1": (lambda: decide_order(_shuffled_class2(16), 16, 1),
+                        "order-1 carrier propagation"),
+    # 560 three-sets outnumber the need, so no cells are split
+    "decide_order-d2": (lambda: decide_order([0, 1], 16, 2), "order-2 teacher search"),
+    "h_max": (lambda: h_max(5, 2, 2), "H_2(5,2) search"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOPS))
+def test_every_search_stops_under_its_own_name(name):
+    run, what = STOPS[name]
+    with pytest.raises(BudgetError, match=f"^{re.escape(what)} hit its deadline$"):
+        with budget(0):
+            run()

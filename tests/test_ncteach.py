@@ -42,6 +42,7 @@ from teachlab import (
     serialize_class,
     serialize_teacher,
 )
+from teachlab import errors, ncteach
 from teachlab.cli import EXIT_BUDGET, main
 from teachlab.ncteach import _carrier_groups, _greedy_order1, _lone_carriers_refute, _trace_cells
 
@@ -185,8 +186,13 @@ def _trace_room(masks, n: int, d: int) -> int:
                for dset in itertools.combinations(range(1, n + 1), d + 1))
 
 
+def _unmetered():
+    pass
+
+
 def _tied_refute(masks, n: int, d: int) -> bool:
-    return _lone_carriers_refute(list(_trace_cells(masks, n, d)), len(masks), n, d)
+    return _lone_carriers_refute(list(_trace_cells(masks, n, d, _unmetered)), len(masks), n, d,
+                                 _unmetered)
 
 
 def test_cell_count_matches_counting_traces_by_sets():
@@ -198,7 +204,7 @@ def test_cell_count_matches_counting_traces_by_sets():
         cases += [(masks, n, d) for d in range(1, n)]
     cases += [(combo, 4, d) for combo in itertools.combinations(range(16), 8) for d in (1, 2, 3)]
     for masks, n, d in cases:
-        cells = sum(len(group[2]) for group in _trace_cells(masks, n, d))
+        cells = sum(len(group[2]) for group in _trace_cells(masks, n, d, _unmetered))
         assert cells == _trace_room(masks, n, d)
 
 
@@ -209,6 +215,25 @@ def test_cells_are_not_split_when_the_sets_outnumber_the_need():
     assert decide_order([0, 1], 16, 6) is not None
     after = _carrier_groups.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_decide_order_agrees_after_its_carrier_tables_are_evicted():
+    # the carrier tables are cached for a few (n, d) pairs only, at least the
+    # four that one nc-search pass reads: decide at more pairs than that,
+    # then come back to the first; 2n concepts over [n] outnumber the
+    # 3-sets, so every decision reads its table
+    held = _carrier_groups.cache_info().maxsize
+    assert held >= 4
+    rng = random.Random(18)
+    classes = [(rng.sample(range(1 << n), 2 * n), n) for n in range(4, 6 + held)]
+    first = decide_order(*classes[0], 2)
+    assert (first is not None) == (brute_nctd(*classes[0]) <= 2)
+    for masks, n in classes[1:]:
+        decide_order(masks, n, 2)
+    assert _carrier_groups.cache_info().currsize <= held
+    misses = _carrier_groups.cache_info().misses
+    assert decide_order(*classes[0], 2) == first
+    assert _carrier_groups.cache_info().misses == misses + 1
 
 
 def test_decide_order_refutes_exactly_above_brute_force_nctd():
@@ -324,6 +349,39 @@ def test_order1_count_and_propagation_finish_on_600_concepts():
     with pytest.raises(BudgetError, match="order-1 teacher search hit its deadline"):
         with budget(2):
             decide_order(masks, 300, 1)
+
+
+def test_order1_search_over_600_concepts_reads_its_budget_every_few_nodes(monkeypatch):
+    # a node scans all 600 masks over [300], 180,000 bits, so the search
+    # reads the budget every 6 nodes, not every 1,024
+    masks = list(class2(random_tournament(300, 0)).masks)
+    random.Random(0).shuffle(masks)
+    nodes, read_at = 0, []
+    steps = ncteach._steps
+
+    def counted_steps(what, bits=0):
+        step = steps(what, bits)
+        if what != "order-1 teacher search":
+            return step
+
+        def counted():
+            nonlocal nodes
+            nodes += 1
+            step()
+        return counted
+
+    def read(what):
+        if what == "order-1 teacher search":
+            read_at.append(nodes)
+            if len(read_at) == 20:
+                raise BudgetError(f"{what} hit its deadline")
+
+    monkeypatch.setattr(ncteach, "_steps", counted_steps)
+    monkeypatch.setattr(errors, "check_budget", read)
+    with pytest.raises(BudgetError, match="order-1 teacher search"):
+        decide_order(masks, 300, 1)
+    assert read_at[0] == 1
+    assert max(b - a for a, b in zip(read_at, read_at[1:])) <= 8
 
 
 def _plain_first_fit(masks, n):

@@ -46,3 +46,20 @@ def test_every_imported_name_is_used():
                 imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_only_errors_reads_the_search_budget():
+    # every search charges its steps to a step meter; the read policy, the
+    # deadline and its hand-over to pool workers stay inside errors
+    private = {"_WORK_PER_READ", "_deadline", "_resume_budget"}
+    for path in sorted(Path(teachlab.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not private & {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "check_budget", (path.name, node.lineno)
