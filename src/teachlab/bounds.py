@@ -72,7 +72,8 @@ def resolve_h(n: int, d: int, t: int) -> tuple[Fraction, str]:
 
     Solves H_t(n, d) exactly when C(n, d) <= _EXACT_H_LIMIT (24); otherwise
     falls back to the chain bound t/(d+1), valid for n >= d+1 (at n = d the
-    exact branch always applies since C(d, d) = 1).
+    exact branch always applies since C(d, d) = 1).  The limit is a count,
+    not a time, so which h a bound uses never depends on the search budget.
     """
     if comb(n, d) <= _EXACT_H_LIMIT:
         return h_ratio(n, d, t), "exact"

@@ -545,7 +545,7 @@ def rtd(k: ConceptClass) -> int:
 def rtd_bruteforce(k: ConceptClass) -> int:
     """max over all nonempty subclasses of td_min, by direct enumeration.
 
-    Exponential in |k|; refuses classes of more than 14 concepts.  Subclasses
+    Exponential in |k|; a reference oracle, it refuses over 14 concepts.  Subclasses
     whose td_min provably cannot exceed the running maximum are skipped with
     a single decision call, which leaves the returned maximum exact.
     """

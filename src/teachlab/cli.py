@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 a mathematically meaningful property failed to
 hold (never used for I/O trouble); 2 bad input, malformed file, or bad
-usage; 3 budget exceeded or result inconclusive.
+usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
+limit; the size caps left stand for memory (verify dim1 and search maxclass
+at n <= 4) and a reference oracle (rtd --oracle at 14 concepts).
 
 All numeric output is explicit: integers exact, rationals as p/q, reals
 with 12 significant digits.  Every subcommand is deterministic given its
@@ -285,18 +287,17 @@ def _cmd_tournament_recover(args) -> Report:
 
 
 def _cmd_johnson_hmax(args) -> Report:
-    res = h_max(args.n, args.k, args.t, exact_limit=args.exact_limit)
+    res = h_max(args.n, args.k, args.t)
     doc = {"n": res.n, "k": res.k, "t": res.t, "status": res.status,
            "size": res.size, "lower": res.lower, "upper": res.upper,
-           "witness": None if res.witness is None else
-           [sorted(a) for a in sorted(res.witness.members, key=sorted)]}
+           "witness": [sorted(a) for a in sorted(res.witness.members, key=sorted)]}
     if res.status == "exact":
         code, what = EXIT_OK, "witness family"
         lines = [f"H_{res.t}({res.n},{res.k}) = {res.size}"]
     else:
-        code, what = EXIT_BUDGET, "greedy witness (lower bound)"
+        code, what = EXIT_BUDGET, "best family found (lower bound)"
         lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
-    if args.witness and res.witness is not None:
+    if args.witness:
         _write(args.witness, serialize_family(res.witness))
         doc["witness_file"] = args.witness
         lines.append(f"wrote {what} to {args.witness}")
@@ -498,8 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--witness", metavar="FILE", help="write the witness family")
-    p.add_argument("--exact-limit", type=int, default=1000, metavar="M",
-                   help="exact search only when C(n,k) <= M")
 
     p = leaf(sub, "bounds", _cmd_bounds, "counting and refined upper bounds")
     p.add_argument("--n", type=int, required=True)

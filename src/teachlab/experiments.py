@@ -176,12 +176,9 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
     return ClaimScan(limit, records, n0, cor_n0)
 
 
-_TDMIN_MAX_N = 128  # td_min budget of run_tdmin_experiment and tau_estimate
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Tournament size n (2.._TDMIN_MAX_N), trial count and master seed of the td_min experiment."""
+    """Tournament size n >= 2 (any: the budget bounds the run), trial count and master seed."""
 
     n: int
     trials: int
@@ -232,12 +229,10 @@ def run_tdmin_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[tuple[Tr
 
     Deterministic for a given config; records come back ordered by trial
     index whatever the job count.  jobs > 1 spreads trials over that many
-    worker processes, each under this process's search budget.
+    worker processes, each under this process's search budget, its only limit.
     """
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if cfg.n > _TDMIN_MAX_N:
-        raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={cfg.n}")
     args = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if jobs > 1:
         with _process_pool(jobs) as pool:
@@ -409,7 +404,7 @@ def verify_dim1(n: int) -> Dim1Report:
     decide_order per orbit of the cube group (_decided_classes).  At n = 4
     the 12,870 classes fall into 74 orbits, so decide_order is called 74
     times; its trace count refutes 41 of them (7,908 classes).  n = 4 takes
-    about 0.015 s.
+    about 0.015 s.  n > 4 is refused for memory: a 4 GiB verdict table at n = 5.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -447,12 +442,11 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
 
     Removing concepts never raises NCTD, so the first size with any passing
     class is the maximum.  A greedy witness that takes every concept is the
-    power set, which settles the search at once.  Otherwise the enumeration
-    is budgeted for n <= 4 and d <= 2; beyond that only the greedy
-    lower-bound witness and the counting upper bound are reported.  Each
-    size is decided one orbit of the cube group at a time
-    (_decided_classes): at (4, 1) the 12,870 classes of size 8 need 74
-    calls to decide_order, and the search takes about 0.02 s.
+    power set, which settles the search at once (always at n <= 4, d >= 2).
+    Past n = 4, where the verdict table would take 4 GiB, only the greedy
+    witness and the counting upper bound are reported.  Each size is decided
+    one orbit of the cube group at a time (_decided_classes): at (4, 1) the
+    12,870 classes of size 8 need 74 calls to decide_order (0.02 s in all).
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -466,7 +460,7 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     if lower == 1 << n:
         # the power set is the only class of its size, and its own canonical form
         return MaxClassResult(n, d, "exact", lower, (witness,), lower, lower)
-    if n > 4 or d > 2:
+    if n > 4:
         return MaxClassResult(n, d, "inconclusive", None, (witness,), lower, upper)
     tables = _perm_tables(n)
     for size in range(upper, lower - 1, -1):
@@ -509,12 +503,10 @@ def tau_estimate(n: int, trials: int, seed: int, k_override: int | None = None) 
 
     k defaults to floor(log2 n - 2 log2 log2(2n)) - 5; at desk scale that is
     negative, the event is empty, and the report is flagged vacuous without
-    sampling.
+    sampling.  No n is refused; the search budget (errors) bounds the run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n > _TDMIN_MAX_N:
-        raise BudgetError(f"exact td_min budget is n <= {_TDMIN_MAX_N}, got n={n}")
     if k_override is not None:
         k, source = k_override, "override"
     else:

@@ -9,7 +9,8 @@ that counter form drives the branch-and-bound search for H_t(n, k): include
 or exclude vertices in colex order, prune on remaining-vertex count and the
 counting bound t*C(n,k+1)/(n-k), which equals t*C(n,k)/(k+1) exactly since
 each k-set lies in exactly n-k of the (k+1)-sets.  The search is one loop
-that backtracks by excluding the last vertex it included.
+that backtracks by excluding the last vertex it included, and stops early
+only on the search budget (errors).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .concepts import _content_lines, _parse_instances, instances_to_mask, mask_to_instances
-from .errors import BudgetError, FormatError, _steps
+from .errors import BudgetError, FormatError, _charges, _steps
 
 __all__ = [
     "CliqueClass",
@@ -151,109 +152,115 @@ class HMaxResult:
     t: int
     status: str  # "exact" or "inconclusive"
     size: int | None
-    witness: KSetFamily | None
+    witness: KSetFamily
     lower: int
     upper: int
 
 
-def _greedy_family(verts: list[int], vds: list[tuple[int, ...]], nds: int, t: int) -> list[int]:
-    counts = [0] * nds
-    chosen = []
-    for vi, v in enumerate(verts):
-        if all(counts[di] < t for di in vds[vi]):
-            for di in vds[vi]:
-                counts[di] += 1
-            chosen.append(v)
-    return chosen
+def _ascending(n: int, k: int, charge: Callable[[int], None]) -> Iterator[int]:
+    """The k-subsets of [n] as masks in ascending (colex) order, by Gosper's hack; a step each."""
+    v, top = (1 << k) - 1, 1 << n
+    while v < top:
+        charge(0)
+        yield v
+        low = v & -v
+        up = v + low
+        v = ((up ^ v) >> 2) // low | up
 
 
-def h_max(n: int, k: int, t: int, exact_limit: int = 1000) -> HMaxResult:
+def h_max(n: int, k: int, t: int) -> HMaxResult:
     """Largest family of k-subsets of [n] with at most t members in any (k+1)-subset.
 
-    Exact (with the colex-least maximum witness) when C(n, k) <= exact_limit;
-    otherwise reports greedy lower and counting upper bounds, labeled
-    inconclusive.  Each backtrack of the exact search is a step (errors).
+    Exact, with the colex-least maximum witness, unless the search budget
+    (errors) runs out: then it is inconclusive, with the best family found as
+    witness and lower bound and the counting bound as upper; it never raises
+    BudgetError.  Each vertex and (k+1)-set built and each greedy vertex is a
+    step whose first read waits 2^20 units; each backtrack is a step.
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
-    nv = comb(n, k)
-    verts = sorted(instances_to_mask(c, n)
-                   for c in itertools.combinations(range(1, n + 1), k))
     if n == k:
         fam = KSetFamily(n, k, frozenset({frozenset(range(1, n + 1))}))
         return HMaxResult(n, k, t, "exact", 1, fam, 1, 1)
+    nv, nds = comb(n, k), comb(n, k + 1)
+    upper0 = min(nv, t * nds // (n - k))  # the counting bound
+    what = f"H_{t}({n},{k}) search"
+    charge = _charges(what, first=False)
+    witness: list[int] = []  # the best family found so far, as masks
+    try:
+        vindex = {v: i for i, v in enumerate(_ascending(n, k, charge))}
+        verts = list(vindex)
+        # per vertex, the indices of the (k+1)-sets that contain it
+        vds: list[list[int]] = [[] for _ in verts]
+        for di, dm in enumerate(_ascending(n, k + 1, charge)):
+            b = dm
+            while b:
+                low = b & -b
+                b ^= low
+                vds[vindex[dm ^ low]].append(di)
 
-    dsubs = sorted(instances_to_mask(c, n)
-                   for c in itertools.combinations(range(1, n + 1), k + 1))
-    vindex = {v: i for i, v in enumerate(verts)}
-    per_vertex: list[list[int]] = [[] for _ in range(nv)]
-    for di, dm in enumerate(dsubs):
-        b = dm
-        while b:
-            low = b & -b
-            b ^= low
-            per_vertex[vindex[dm ^ low]].append(di)
-    vds = [tuple(ds) for ds in per_vertex]
-
-    upper0 = min(nv, t * comb(n, k + 1) // (n - k))  # the counting bound
-    greedy = _greedy_family(verts, vds, len(dsubs), t)
-    lower0 = len(greedy)
-
-    if nv > exact_limit:
-        fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in greedy))
-        return HMaxResult(n, k, t, "inconclusive", None, fam, lower0, upper0)
-
-    counts = [0] * len(dsubs)
-    best = lower0
-    # the greedy family is the first leaf of the include-first DFS, so it is
-    # the colex-least optimum whenever no later leaf improves on it; after an
-    # improvement the first leaf reaching the new size is the witness
-    witness = greedy
-    # the DFS branches only at included vertices, so its path is their index
-    # list; backtracking pops the last one and resumes past it, excluded
-    path: list[int] = []
-    # every accepted k-set raises n-k of the D-counters, so the leftover
-    # slack sum(t - counts) caps any extension at slack // (n - k)
-    stride = n - k
-    slack = t * len(dsubs)
-    idx = 0
-    step = _steps(f"H_{t}({n},{k}) search")
-    while True:
-        room = nv - idx
-        cap = slack // stride
-        if cap < room:
-            room = cap
-        if len(path) + room > best:
-            if idx < nv:
-                if all(counts[di] < t for di in vds[idx]):
-                    for di in vds[idx]:
-                        counts[di] += 1
-                    slack -= stride
-                    path.append(idx)
-                idx += 1
-                continue
-            best = len(path)
-            witness = [verts[i] for i in path]
-            if best >= upper0:
+        # the greedy family is the first leaf of the include-first DFS, which
+        # resumes there; the witness, the first leaf of the best size, is the
+        # colex-least optimum.  The DFS path lists the included vertices, and
+        # backtracking pops the last one and resumes past it, excluded
+        counts = [0] * nds
+        path: list[int] = []
+        for idx in range(nv):
+            charge(0)
+            if all(counts[di] < t for di in vds[idx]):
+                for di in vds[idx]:
+                    counts[di] += 1
+                path.append(idx)
+                witness.append(verts[idx])
+        # every accepted k-set raises n-k of the D-counters, so the leftover
+        # slack sum(t - counts) caps any extension at slack // (n - k)
+        stride = n - k
+        slack = t * nds - stride * len(path)
+        best, idx = len(path), nv
+        if best == upper0:  # the greedy meets the counting bound: nothing to search
+            path.clear()
+        step = _steps(what)
+        while True:
+            room = nv - idx
+            cap = slack // stride
+            if cap < room:
+                room = cap
+            if len(path) + room > best:
+                if idx < nv:
+                    if all(counts[di] < t for di in vds[idx]):
+                        for di in vds[idx]:
+                            counts[di] += 1
+                        slack -= stride
+                        path.append(idx)
+                    idx += 1
+                    continue
+                best = len(path)
+                witness = [verts[i] for i in path]
+                if best >= upper0:
+                    break
+            # pruned node or leaf: undo the last inclusion and take its exclude branch
+            if not path:
                 break
-        # pruned node or leaf: undo the last inclusion and take its exclude branch
-        if not path:
-            break
-        step()
-        idx = path.pop()
-        for di in vds[idx]:
-            counts[di] -= 1
-        slack += stride
-        idx += 1
+            step()
+            idx = path.pop()
+            for di in vds[idx]:
+                counts[di] -= 1
+            slack += stride
+            idx += 1
+    except BudgetError:
+        best = None  # stopped: the witness is the best family found
     fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in witness))
+    if best is None:
+        return HMaxResult(n, k, t, "inconclusive", None, fam, len(witness), upper0)
     return HMaxResult(n, k, t, "exact", best, fam, best, best)
 
 
 def h_ratio(n: int, k: int, t: int) -> Fraction:
-    """H_t(n, k) / C(n, k) as an exact rational; needs h_max to be exact at its default limit."""
+    """H_t(n, k) / C(n, k) as an exact rational; raises BudgetError if h_max's budget runs out."""
     res = h_max(n, k, t)
     if res.status != "exact":
-        raise BudgetError(f"h_max({n}, {k}, {t}) is inconclusive: C({n}, {k}) is over its limit")
+        raise BudgetError(f"H_{t}({n},{k}) search hit its deadline with "
+                          f"{res.lower} <= H_{t}({n},{k}) <= {res.upper}")
     return Fraction(res.size, comb(n, k))
 
 

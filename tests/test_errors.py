@@ -13,6 +13,7 @@ from teachlab import (
     class2,
     decide_order,
     h_max,
+    narrow_clique_free,
     random_tournament,
     rtd,
     td_min,
@@ -61,7 +62,6 @@ STOPS = {
                         "order-1 carrier propagation"),
     # 560 three-sets outnumber the need, so no cells are split
     "decide_order-d2": (lambda: decide_order([0, 1], 16, 2), "order-2 teacher search"),
-    "h_max": (lambda: h_max(5, 2, 2), "H_2(5,2) search"),
 }
 
 
@@ -71,3 +71,14 @@ def test_every_search_stops_under_its_own_name(name):
     with pytest.raises(BudgetError, match=f"^{re.escape(what)} hit its deadline$"):
         with budget(0):
             run()
+
+
+def test_h_max_reports_its_bounds_when_the_budget_stops_it():
+    # h_max raises no BudgetError: it returns the greedy family of 4 edges
+    # and the counting bound, and H_2(5, 2) = 6 lies between them
+    with budget(0):
+        res = h_max(5, 2, 2)
+    assert res.status == "inconclusive" and res.size is None
+    assert (res.lower, res.upper) == (4, 6)
+    assert len(res.witness.members) == 4
+    assert narrow_clique_free(res.witness, 2)

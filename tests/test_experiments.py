@@ -17,6 +17,7 @@ from teachlab import (
     BudgetError,
     ExperimentConfig,
     all_tournaments,
+    budget,
     claim_check,
     claim_scan,
     class1,
@@ -342,10 +343,15 @@ def test_run_tdmin_experiment_values_are_genuine():
 
 
 def test_run_tdmin_experiment_budget():
-    with pytest.raises(BudgetError):
-        run_tdmin_experiment(ExperimentConfig(n=129, trials=1, seed=0))
-    with pytest.raises(BudgetError):
-        tau_estimate(129, 1, 0, k_override=1)
+    # no n is refused: the search budget alone stops a run
+    with budget(0):
+        with pytest.raises(BudgetError):
+            run_tdmin_experiment(ExperimentConfig(n=129, trials=1, seed=0))
+        with pytest.raises(BudgetError):
+            tau_estimate(129, 1, 0, k_override=1)
+    (record,), _ = run_tdmin_experiment(ExperimentConfig(n=129, trials=1, seed=0))
+    assert record.td_min == td_min(class1(random_tournament(129, record.seed)))
+    assert tau_estimate(129, 1, 0, k_override=1).hits == 0
     (record,), _ = run_tdmin_experiment(ExperimentConfig(n=128, trials=1, seed=1))
     assert record.td_min == 3
     assert not pattern_report(random_tournament(128, record.seed), 2).unique_exists

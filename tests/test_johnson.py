@@ -8,6 +8,7 @@ members inside any (k+1)-subset, i.e. with no narrow (t+1)-clique.
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, floor
 
@@ -18,6 +19,7 @@ from teachlab import (
     CliqueClass,
     FormatError,
     KSetFamily,
+    budget,
     classify_clique,
     complement_family,
     h_max,
@@ -178,8 +180,9 @@ def test_h_ratio_values_and_monotonicity():
 
 
 def test_h_ratio_budget_error_when_inexact():
-    with pytest.raises(BudgetError):
-        h_ratio(14, 4, 2)
+    with pytest.raises(BudgetError, match=r"^H_2\(14,4\) search hit its deadline with "):
+        with budget(0):
+            h_ratio(14, 4, 2)
 
 
 def test_h_max_needs_no_call_depth(shallow_stack):
@@ -190,12 +193,26 @@ def test_h_max_needs_no_call_depth(shallow_stack):
 
 
 def test_h_max_inconclusive_when_over_limit():
-    res = h_max(12, 3, 2, exact_limit=10)
-    assert res.status == "inconclusive"
-    assert res.lower <= res.upper
-    assert res.witness is not None
+    # the set-up reads no budget before 2^20 units, so the greedy finishes
+    # and the search stops at its first backtrack
+    with budget(0):
+        res = h_max(12, 3, 2)
+    assert res.status == "inconclusive" and res.size is None
+    assert (res.lower, res.upper) == (30, 110)
     assert narrow_clique_free(res.witness, 2)
     assert len(res.witness.members) == res.lower
+
+
+def test_h_max_set_up_stops_at_its_budget():
+    # the 184,756 vertices and 167,960 (k+1)-sets of (20, 10) take about a
+    # second to build, so the budget stops the set-up; the family found by
+    # then, if any, is the lower bound
+    start = time.monotonic()
+    with budget(0.05):
+        res = h_max(20, 10, 2)
+    assert time.monotonic() - start < 0.35
+    assert res.status == "inconclusive" and res.size is None
+    assert len(res.witness.members) == res.lower <= res.upper == 33592
 
 
 def test_restrict_family_deletes_a_point():

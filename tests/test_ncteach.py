@@ -454,8 +454,9 @@ def test_milp_oracle_matches_brute_force_nctd():
 
 
 def test_deadline_stops_a_long_order2_search(tmp_path):
-    # deciding order 2 on this class takes seconds; the deadline is read every
-    # 1024 search nodes, so a run may overshoot it, by at most slack here
+    # deciding order 2 on this class takes seconds; a node costs 1,024 units
+    # plus the bits of the 26 concepts over [5], so the deadline is read every
+    # 909 nodes, and a run may overshoot it, by at most slack here
     slack = 1.0
     rng = random.Random(7)
     for _ in range(3):
