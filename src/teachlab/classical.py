@@ -16,12 +16,12 @@ functions here, and they share no search code:
   class (_columns).  Both searches pack them in lanes of one int (_lanes)
   and try every last instance of a sequence at once (_lone_lanes); td_min
   also tests the parts of a sequence one short of its end directly.
-- Hitting sets, per concept.  td_of's minimum is a minimum hitting set of
-  the difference masks, by branching on the smallest uncovered mask with a
-  greedy disjoint-packing lower bound (_hit_decision); its witness comes
-  from one include-first search at the known size (_lex_min_witness).
-  rtd_bruteforce uses the decision too, so both stay references
-  independent of the cell-splitting searches.
+- Hitting sets, per concept.  One include-first search (_lex_first_hit)
+  returns the lexicographically least set of at most s instances that hits
+  every difference mask, or None, pruned by a greedy disjoint-packing lower
+  bound.  td_of deepens on it, so the first s it answers is the TD and its
+  answer the least witness; rtd_bruteforce decides each subclass with it.
+  Both stay references independent of the cell-splitting searches.
 
 Every search is a loop on an explicit stack that charges its steps to a
 step meter (errors).
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
-from .errors import BudgetError, _charges, _steps
+from .errors import _charges, _steps
 
 __all__ = [
     "TeachingReport",
@@ -52,114 +52,54 @@ def _diff_masks(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
     return [mi ^ mj for j, mj in enumerate(masks) if j != i]
 
 
-def _hit_decision(masks: list[int], budget: int) -> bool:
-    """Can at most `budget` instances hit every mask?
-
-    Branches on the instances of the most constrained mask, pruned by a
-    greedy disjoint-packing lower bound.  A node descends straight into its
-    first instance and stacks a [masks, budget, untried instances] frame; a
-    failed node resumes the top frame, which is popped when its last
-    instance is taken.  An empty mask cannot be hit.
-    """
-    stack: list[list] = []
-    step = _steps("hitting-set search")
-    while True:
-        step()
-        if not masks:
-            return True
-        bits = 0
-        if budget > 0:
-            best_count = packed = packing = 0
-            for m in masks:
-                if m == 0:
-                    bits = 0
-                    break
-                c = m.bit_count()
-                if not bits or c < best_count:
-                    best_count = c
-                    bits = m
-                if m & packed == 0:
-                    packed |= m
-                    packing += 1
-                    if packing > budget:
-                        bits = 0
-                        break
-        if bits:
-            low = bits & -bits
-            bits ^= low
-            if bits:
-                stack.append([masks, budget, bits])
-        elif stack:
-            frame = stack[-1]
-            masks, budget, bits = frame
-            low = bits & -bits
-            bits ^= low
-            if bits:
-                frame[2] = bits
-            else:
-                stack.pop()
-        else:
-            return False
-        masks = [m for m in masks if m & low == 0]
-        budget -= 1
-
-
-def _min_hit_size(masks: list[int], n: int) -> int:
-    for s in range(n + 1):
-        if _hit_decision(masks, s):
-            return s
-    raise AssertionError("difference family not hittable by the full domain")
-
-
-def _lex_min_witness(masks: list[int], size: int) -> int:
-    """Lexicographically least hitting set of the given minimal size, as a mask.
+def _lex_first_hit(masks: list[int], size: int) -> int | None:
+    """The lexicographically least set of at most `size` instances hitting every mask, or None.
 
     One include-first search over increasing instances, on an explicit stack
-    of [masks left to hit, picks so far, untried candidates] frames, so its
-    first leaf is the least witness.  A pick can be no later than the lowest
-    top instance of the masks left, since later picks only grow.  Picking x
-    keeps the masks x misses, cut to their instances above x; the pick is
-    pruned when a cut mask is empty or a greedy disjoint packing of the cut
-    masks needs more picks than are left.
+    of [masks left to hit, picks so far, untried candidates, picks left]
+    frames, so its first leaf is the least set.  A pick can be no later than
+    the lowest top instance of the masks left, since later picks only grow;
+    every hitting set's least instance is such a pick, so the search is
+    complete.  Picking x keeps the masks x misses, cut to their instances
+    above x; the pick is pruned when a cut mask is empty or a greedy
+    disjoint packing of the cut masks needs more picks than are left.  One
+    pass per node builds the kept masks, the packing and their union; the
+    root is the node that picks nothing.  A node is a step, taken first.
     """
+    step = _steps("hitting-set search")
     stack: list[list] = []
-    rest, chosen = masks, 0
-    step = _steps("lex-least witness search")  # a step is a backtrack
-    while rest:
-        top = min(m.bit_length() for m in rest)
-        cands = 0
+    rest, chosen, low, above, left = masks, 0, 0, -1, size
+    while True:
+        step()
+        kept = []
+        packed = packing = union = 0
         for m in rest:
-            cands |= m
-        stack.append([rest, chosen, cands & ((1 << top) - 1)])
-        while True:
-            if not stack:
-                raise AssertionError("witness construction lost feasibility")
-            frame = stack[-1]
-            rest, chosen, cands = frame
-            if not cands:
-                stack.pop()
-                step()
+            if m & low:
                 continue
-            low = cands & -cands
-            frame[2] = cands ^ low
-            above = -(low << 1)
-            left = size - chosen.bit_count() - 1
-            kept = []
-            packed = packing = 0
-            for m in rest:
-                if m & low:
-                    continue
-                m &= above
-                if m & packed == 0:
-                    if m == 0 or packing == left:
-                        break
-                    packed |= m
-                    packing += 1
-                kept.append(m)
-            else:
-                rest, chosen = kept, chosen | low
+            m &= above
+            if m & packed == 0:
+                if m == 0 or packing == left:
+                    break
+                packed |= m
+                packing += 1
+            kept.append(m)
+            union |= m
+        else:
+            chosen |= low
+            if not kept:
+                return chosen
+            stack.append([kept, chosen, union & ((1 << min(kept).bit_length()) - 1), left - 1])
+        while stack:
+            frame = stack[-1]
+            rest, chosen, cands, left = frame
+            if cands:
                 break
-    return chosen
+            stack.pop()
+        else:
+            return None
+        low = cands & -cands
+        frame[2] = cands ^ low
+        above = -(low << 1)
 
 
 def _sorted_diffs(masks: tuple[int, ...] | list[int], i: int) -> list[int]:
@@ -438,11 +378,17 @@ def is_teaching_set(k: ConceptClass, c: Concept, s) -> bool:
 
 
 def td_of(k: ConceptClass, c: Concept) -> tuple[int, frozenset[int]]:
-    """Minimal teaching-set size for c within k, with the lex-least witness."""
-    i = k.index_of(c)
-    diffs = _sorted_diffs(k.masks, i)
-    size = _min_hit_size(diffs, k.n)
-    return size, mask_to_instances(_lex_min_witness(diffs, size))
+    """Minimal teaching-set size for c within k, with the lex-least witness.
+
+    The least hitting set of the difference masks, by deepening on the
+    hitting-set search over sizes 0, 1, 2, ...
+    """
+    diffs = _sorted_diffs(k.masks, k.index_of(c))
+    for size in range(k.n + 1):
+        witness = _lex_first_hit(diffs, size)
+        if witness is not None:
+            return size, mask_to_instances(witness)
+    raise AssertionError("difference family not hittable by the full domain")
 
 
 def td_min(k: ConceptClass) -> int:
@@ -545,25 +491,22 @@ def rtd(k: ConceptClass) -> int:
 def rtd_bruteforce(k: ConceptClass) -> int:
     """max over all nonempty subclasses of td_min, by direct enumeration.
 
-    Exponential in |k|; a reference oracle, it refuses over 14 concepts.  Subclasses
-    whose td_min provably cannot exceed the running maximum are skipped with
-    a single decision call, which leaves the returned maximum exact.
+    Exponential in |k|: a reference oracle, bounded only by the search
+    budget, which each subclass's hitting-set searches read.  Each subclass
+    raises the running maximum until one of its concepts has a teaching set
+    of that size, so most are settled by one concept's search at the
+    maximum, and the maximum stays exact.
     """
     m = len(k)
     if m == 0:
         raise ValueError("rtd of an empty class")
-    if m > 14:
-        raise BudgetError(f"brute force enumerates 2^{m} subclasses; cap is 14")
     masks = k.masks
     diff = [[masks[i] ^ masks[j] for j in range(m)] for i in range(m)]
     best = 0
     for sub in range(1, 1 << m):
         idxs = [i for i in range(m) if (sub >> i) & 1]
-        lists = [[diff[i][j] for j in idxs if j != i] for i in idxs]
-        if any(_hit_decision(d, best) for d in lists):
-            continue
-        s = best + 1
-        while not any(_hit_decision(d, s) for d in lists):
-            s += 1
-        best = s
+        # the least s >= best at which a concept is taught; diff[i][i] is row i's only 0
+        while not any(_lex_first_hit([d for j in idxs if (d := diff[i][j])], best) is not None
+                      for i in idxs):
+            best += 1
     return best

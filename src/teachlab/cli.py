@@ -4,7 +4,7 @@ Exit codes: 0 success; 1 a mathematically meaningful property failed to
 hold (never used for I/O trouble); 2 bad input, malformed file, or bad
 usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
 limit; the size caps left stand for memory (verify dim1 and search maxclass
-at n <= 4) and a reference oracle (rtd --oracle at 14 concepts).
+at n <= 4) and for output that must not depend on time (bounds).
 
 All numeric output is explicit: integers exact, rationals as p/q, reals
 with 12 significant digits.  Every subcommand is deterministic given its

@@ -441,35 +441,34 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     """Exact M_NC(n, d) by top-down enumeration from the counting bound.
 
     Removing concepts never raises NCTD, so the first size with any passing
-    class is the maximum.  A greedy witness that takes every concept is the
-    power set, which settles the search at once (always at n <= 4, d >= 2).
-    Past n = 4, where the verdict table would take 4 GiB, only the greedy
-    witness and the counting upper bound are reported.  Each size is decided
+    class is the maximum; one concept always passes.  Each size is decided
     one orbit of the cube group at a time (_decided_classes): at (4, 1) the
-    12,870 classes of size 8 need 74 calls to decide_order (0.02 s in all).
+    12,870 classes of size 8 need 74 calls to decide_order (0.02 s in all),
+    and the power set, when the bound allows it, needs one.  Past n = 4,
+    where the verdict table would take 4 GiB, a greedy witness (each concept
+    in turn, kept when the class stays admissible) and the counting upper
+    bound are reported; a greedy that takes every concept is exact.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     upper = min(1 << n, ksz_bound(n, d))
-    greedy: list[int] = []
-    for m in range(1 << n):
-        if decide_order(greedy + [m], n, d) is not None:
-            greedy.append(m)
-    lower = len(greedy)
-    witness = ConceptClass.from_masks(greedy, n)
-    if lower == 1 << n:
-        # the power set is the only class of its size, and its own canonical form
-        return MaxClassResult(n, d, "exact", lower, (witness,), lower, lower)
     if n > 4:
-        return MaxClassResult(n, d, "inconclusive", None, (witness,), lower, upper)
+        greedy: list[int] = []
+        for m in range(1 << n):
+            if decide_order(greedy + [m], n, d) is not None:
+                greedy.append(m)
+        lower, witness = len(greedy), (ConceptClass.from_masks(greedy, n),)
+        if lower == 1 << n:  # the power set, its own canonical form
+            return MaxClassResult(n, d, "exact", lower, witness, lower, lower)
+        return MaxClassResult(n, d, "inconclusive", None, witness, lower, upper)
     tables = _perm_tables(n)
-    for size in range(upper, lower - 1, -1):
+    for size in range(upper, 0, -1):
         _, passing = _decided_classes(n, d, size, tables)
         if passing:
             canon = sorted({_canonical_class(c, tables) for c in passing})
             witnesses = tuple(ConceptClass.from_masks(c, n) for c in canon)
             return MaxClassResult(n, d, "exact", size, witnesses, size, size)
-    raise AssertionError("greedy witness size is always attainable")
+    raise AssertionError("a single concept always passes")
 
 
 def _wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

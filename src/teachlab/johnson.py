@@ -126,20 +126,24 @@ def narrow_clique_free(f: KSetFamily, t: int) -> bool:
     """True iff no t+1 members of f fit inside one (k+1)-subset of [n].
 
     Equivalent to f spanning no narrow (t+1)-clique: t+1 distinct k-sets
-    inside a (k+1)-set always form one.
+    inside a (k+1)-set always form one.  Each member is counted in its n-k
+    supersets of size k+1, O(|f| * (n-k)) dict updates, and the scan stops
+    at the first count above t.
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    if f.k == f.n:
-        return True
-    masks = f.member_masks()
-    for d in itertools.combinations(range(f.n), f.k + 1):
-        dm = 0
-        for x in d:
-            dm |= 1 << x
-        inside = sum(1 for m in masks if m & ~dm == 0)
-        if inside > t:
-            return False
+    full = (1 << f.n) - 1
+    inside: dict[int, int] = {}
+    for m in f.member_masks():
+        rest = full ^ m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = m | low
+            count = inside.get(d, 0) + 1
+            if count > t:
+                return False
+            inside[d] = count
     return True
 
 

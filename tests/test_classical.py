@@ -226,11 +226,11 @@ def _peeled_rtd(masks, n):
     # within the live class, by the per-concept hitting sets
     live, level = list(masks), 0
     while len(live) > 1:
-        tds = [classical._min_hit_size(classical._diff_masks(live, i), n)
-               for i in range(len(live))]
+        k = ConceptClass.from_masks(live, n)
+        tds = [td_of(k, c)[0] for c in k]
         least = min(tds)
         level = max(level, least)
-        live = [c for c, t in zip(live, tds) if t > least]
+        live = [c for c, t in zip(k.masks, tds) if t > least]
     return level
 
 
@@ -283,9 +283,7 @@ def test_splitters_match_a_plain_column_build(m, n):
 def test_td_min_matches_hitting_sets_at_benchmark_scale(seed):
     # the per-concept hitting-set kernel shares no code with the splitting search
     k = class1(random_tournament(64, seed))
-    masks = k.masks
-    assert td_min(k) == min(classical._min_hit_size(classical._sorted_diffs(masks, i), 64)
-                            for i in range(64))
+    assert td_min(k) == min(td_of(k, c)[0] for c in k)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -330,6 +328,43 @@ def test_rtd_equals_subclass_maximum_randomized():
     for _ in range(60):
         k, n = _random_class(rng, n_max=5, size_max=8)
         assert rtd(k) == rtd_bruteforce(k) == brute_rtd(list(k.masks), n)
+
+
+def test_rtd_bruteforce_takes_fifteen_concepts():
+    # 2^15 subclasses: only the search budget bounds the oracle's size
+    masks = random.Random(15).sample(range(1 << 5), 15)
+    k = ConceptClass.from_masks(masks, 5)
+    assert rtd_bruteforce(k) == rtd(k) == brute_rtd(masks, 5)
+
+
+def _least_hitting_set(masks, n):
+    for s in range(n + 1):
+        for subset in itertools.combinations(range(n), s):
+            chosen = sum(1 << x for x in subset)
+            if all(m & chosen for m in masks):
+                return s, chosen
+    return None
+
+
+def test_lex_first_hit_decides_and_witnesses_at_every_size():
+    # the one hitting-set search: None below the least size, the lex-least
+    # set at it, and some hitting set of at most s instances above it
+    rng = random.Random(20261019)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.7:
+            masks = [m for m in masks if m]
+        least = _least_hitting_set(masks, n)
+        for s in range(n + 1):
+            found = classical._lex_first_hit(masks, s)
+            if least is None or s < least[0]:
+                assert found is None, (masks, n, s)
+            elif s == least[0]:
+                assert found == least[1], (masks, n, s)
+            else:
+                assert found is not None and found.bit_count() <= s, (masks, n, s)
+                assert all(m & found for m in masks), (masks, n, s)
 
 
 @settings(deadline=None, max_examples=60)

@@ -497,6 +497,7 @@ def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
 SLOW_SEARCHES = {
     "td": ["td", "--class", "{c400}"],
     "rtd": ["rtd", "--class", "{c800}"],
+    "rtd-oracle": ["rtd", "--class", "{c40}", "--oracle"],
     "nctd": ["nctd", "--class", "{c400}"],
     "recover": ["tournament", "recover", "--class", "{shuffled46}", "--find-teacher"],
     "hmax": ["johnson", "hmax", "--n", "9", "--k", "4", "--t", "3"],
@@ -511,17 +512,19 @@ SLOW_SEARCHES = {
 def test_every_search_stops_at_its_timeout(name, tmp_path, capsys):
     budget_s, slack = 0.5, 1.0
     # 400 seeded concepts over [40], and 800 for rtd, which finishes the 400
-    # too soon after the budget; the class2 of a 46-vertex tournament in a
+    # too soon after the budget; 40 over [10], whose rtd is instant and whose
+    # oracle walks 2^40 subclasses; the class2 of a 46-vertex tournament in a
     # shuffled order, on which the order-1 greedy fails
-    c400, c800 = tmp_path / "c400.cls", tmp_path / "c800.cls"
-    for path, m in ((c400, 400), (c800, 800)):
+    c400, c800, c40 = tmp_path / "c400.cls", tmp_path / "c800.cls", tmp_path / "c40.cls"
+    for path, m, n in ((c400, 400, 40), (c800, 800, 40), (c40, 40, 10)):
         path.write_text(serialize_class(ConceptClass.from_masks(
-            random.Random(40).sample(range(1 << 40), m), 40)), encoding="ascii")
+            random.Random(n).sample(range(1 << n), m), n)), encoding="ascii")
     masks = list(class2(random_tournament(46, 0)).masks)
     random.Random(0).shuffle(masks)
     shuffled46 = tmp_path / "shuffled46.cls"
     shuffled46.write_text(serialize_class(ConceptClass.from_masks(masks, 46)), encoding="ascii")
-    argv = [arg.format(c400=c400, c800=c800, shuffled46=shuffled46) for arg in SLOW_SEARCHES[name]]
+    argv = [arg.format(c400=c400, c800=c800, c40=c40, shuffled46=shuffled46)
+            for arg in SLOW_SEARCHES[name]]
     start = time.monotonic()
     assert main(argv + ["--timeout", str(budget_s)]) == EXIT_BUDGET
     assert budget_s <= time.monotonic() - start < budget_s + slack
@@ -529,6 +532,8 @@ def test_every_search_stops_at_its_timeout(name, tmp_path, capsys):
     # johnson hmax reports its bounds instead of an error
     assert "hit its deadline" in out or "search timed out" in out or (
         name == "hmax" and out.startswith("inconclusive: "))
+    if name == "rtd-oracle":
+        assert "hitting-set search hit its deadline" in out
     assert "Traceback" not in out + err
 
 

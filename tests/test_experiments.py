@@ -240,7 +240,7 @@ def test_verify_dim1_decides_once_per_symmetry_orbit(monkeypatch):
     assert len(calls) == 74
     calls.clear()
     assert max_class_search(4, 1).size == 8
-    assert len(calls) == 16 + 74  # the greedy, then size 8
+    assert len(calls) == 74  # size 8 only: no greedy at n <= 4
     calls.clear()
     assert verify_dim1(3).candidates == 28
     assert len(calls) == 3

@@ -87,6 +87,37 @@ def test_narrow_clique_free_definition():
     assert narrow_clique_free(f, 3)
 
 
+def _scan_clique_free(members, n, k, t):
+    return all(sum(1 for a in members if a <= set(d)) <= t
+               for d in itertools.combinations(range(1, n + 1), k + 1))
+
+
+def test_narrow_clique_free_matches_a_plain_scan():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        ksets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
+        members = frozenset(rng.sample(ksets, rng.randint(0, len(ksets))))
+        for t in range(1, 5):
+            assert narrow_clique_free(KSetFamily(n, k, members), t) == \
+                _scan_clique_free(members, n, k, t), (n, k, sorted(map(sorted, members)), t)
+
+
+def test_narrow_clique_free_is_linear_in_the_family():
+    # 16,796 of the 184,756 10-sets of [20]: two members inside one 11-set
+    # differ by x - y = 11 in their sums, so at most two of them, those
+    # missing x and x + 11, fit inside it
+    members = frozenset(frozenset(c) for c in itertools.combinations(range(1, 21), 10)
+                        if sum(c) % 11 == 0)
+    f = KSetFamily(20, 10, members)
+    assert len(f) == 16796
+    start = time.monotonic()
+    assert narrow_clique_free(f, 2)
+    assert not narrow_clique_free(f, 1)
+    assert time.monotonic() - start < 1.0
+
+
 FROZEN_H = {
     # (n, k, t): value
     (3, 2, 2): 2,

@@ -63,3 +63,27 @@ def test_only_errors_reads_the_search_budget():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert name != "check_budget", (path.name, node.lineno)
+
+
+def test_every_private_function_is_referenced():
+    # a private function or class that nothing else reads is left over from
+    # deleted code; each top-level statement's reads are kept apart, so a
+    # definition does not count as a read of itself
+    private, reads = [], []
+    for path in sorted(Path(teachlab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                private.append((path.name, node))
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names |= {alias.name for alias in sub.names}
+            reads.append((node, names))
+    assert private
+    unread = [(mod, node.name) for mod, node in private
+              if not any(node.name in names for other, names in reads if other is not node)]
+    assert not unread
