@@ -6,6 +6,9 @@ usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
 limit; the size caps left stand for memory (verify dim1 and search maxclass
 at n <= 4) and for output that must not depend on time (bounds).
 
+Teacher files are matched to the class file by mask, so they may list its
+concepts in any order, and verify-teacher names a clash in class order.
+
 All numeric output is explicit: integers exact, rationals as p/q, reals
 with 12 significant digits.  Every subcommand is deterministic given its
 arguments; randomness only enters through an explicit --seed.
@@ -121,11 +124,12 @@ def _read_class(path: str) -> ConceptClass:
 
 
 def _read_teacher(path: str, k: ConceptClass) -> NCTeacher:
-    """Parse a teacher file whose concepts must be exactly those of k, in any order."""
+    """Parse a teacher file listing exactly k's concepts, in any order, into k's order."""
     t = parse_teacher(_read(path))
-    if t.k.n != k.n or set(t.k.masks) != set(k.masks):
+    set_of = dict(zip(t.k.masks, t.sets))
+    if t.k.n != k.n or set_of.keys() != set(k.masks):
         raise FormatError("teacher file does not cover exactly the concepts of the class file")
-    return t
+    return NCTeacher(k, tuple(set_of[m] for m in k.masks))
 
 
 def _witness_str(w) -> str:
@@ -263,17 +267,10 @@ def _cmd_tournament_class(args) -> Report:
     return EXIT_OK, doc, [f"wrote {len(k)} concepts to {args.out}"]
 
 
-def _align_teacher(k: ConceptClass, t: NCTeacher) -> NCTeacher:
-    """Reindex a parsed teacher onto the class's concept order (same concept set)."""
-    if t.k.masks == k.masks:
-        return t
-    return NCTeacher(k, tuple(t.set_for(c) for c in k.concepts))
-
-
 def _cmd_tournament_recover(args) -> Report:
     k = _read_class(args.class_file)
     if args.teacher:
-        t = _align_teacher(k, _read_teacher(args.teacher, k))
+        t = _read_teacher(args.teacher, k)
     else:
         sol = decide_order(k.masks, k.n, 1)
         if sol is None:

@@ -29,7 +29,7 @@ from math import comb
 from .bounds import ksz_bound
 from .classical import td_min
 from .concepts import ConceptClass, instances_to_mask
-from .errors import BudgetError, _process_pool
+from .errors import BudgetError, _charges, _process_pool
 from .ncteach import decide_order, nctd
 from .rng import stream
 from .tournaments import Tournament, all_tournaments, class1, class2, random_tournament
@@ -149,7 +149,11 @@ class ClaimScan:
 
 
 def claim_scan(limit: int = 1 << 40) -> ClaimScan:
-    """Scan powers of two and 3*2^(e-1) up to limit."""
+    """Scan powers of two and 3*2^(e-1) up to limit.
+
+    Raises BudgetError("claim scan hit its deadline") when the search budget
+    runs out (see errors.budget).
+    """
     if limit < 2:
         raise ValueError("need limit >= 2")
     grid: set[int] = set()
@@ -161,7 +165,12 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
         e += 1
     if not grid:
         grid.add(2)
-    records = tuple(claim_check(n) for n in sorted(grid))
+    # each value is charged about the bits of its binomials, n.bit_length() ** 2 at most
+    charge = _charges("claim scan")
+    records = []
+    for n in sorted(grid):
+        charge(n.bit_length() ** 2)
+        records.append(claim_check(n))
 
     def onset(flags: list[bool]) -> int | None:
         start = None
@@ -173,7 +182,7 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
 
     n0 = onset([r.holds for r in records])
     cor_n0 = onset([r.cor_holds for r in records])
-    return ClaimScan(limit, records, n0, cor_n0)
+    return ClaimScan(limit, tuple(records), n0, cor_n0)
 
 
 @dataclass(frozen=True)

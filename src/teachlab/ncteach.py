@@ -83,9 +83,6 @@ class NCTeacher:
         """Largest assigned set size."""
         return max((len(s) for s in self.sets), default=0)
 
-    def set_for(self, c: Concept) -> frozenset[int]:
-        return self.sets[self.k.index_of(c)]
-
     def set_masks(self) -> tuple[int, ...]:
         n = self.k.n
         return tuple(instances_to_mask(s, n) for s in self.sets)

@@ -18,6 +18,10 @@ order, as one ASCII string rather than testing has_edge on every ordered
 pair.  Row i of that string is the run of pairs (i, j > i); C_j takes the
 players i < j from column j of the upper triangle, transposed with one
 byte slice, and the players i > j from row j, complemented.
+
+parse_tournament and recover_tournament write the pair bits as rank-ordered
+rows, in the layout that _rows reads, and convert them to an int once:
+setting one bit at a time in a growing int copies it once per pair.
 """
 
 from __future__ import annotations
@@ -146,9 +150,11 @@ def canonical_teacher(g: Tournament) -> NCTeacher:
 def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
     """Rebuild the tournament from a 2n-concept class and an admissible order-1 teacher.
 
-    Every singleton must be assigned to exactly two concepts; the one
-    containing its instance plays the complement role.  Edge (i, j) is
-    present exactly when C_j agrees with the complement concept of i on {i}.
+    C_x is the concept that {x} teaches without x, and edge (i, j) is
+    present exactly when j is not in C_i.  One check then confirms the
+    result: every concept must be C_x or its complement in the recovered
+    tournament, for the x that teaches it.  As the class has 2n distinct
+    concepts, that holds exactly when the tournament induces the class.
     """
     n = k.n
     if t.k.n != n or t.k.masks != k.masks:
@@ -160,33 +166,17 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
         raise PropertyViolation("every teaching set must be a single instance")
     if not is_nc_teacher(t):
         raise PropertyViolation("teacher admits a clash")
-    users: dict[int, list[int]] = {x: [] for x in range(1, n + 1)}
-    for idx, s in enumerate(t.sets):
-        (x,) = s
-        users[x].append(idx)
-    masks = k.masks
-    c_of: list[int] = [0] * (n + 1)
-    for x in range(1, n + 1):
-        if len(users[x]) != 2:
-            raise PropertyViolation(
-                f"instance {x} is the teaching set of {len(users[x])} concepts; expected exactly 2")
-        a, b = users[x]
-        bit = 1 << (x - 1)
-        if (masks[a] ^ masks[b]) & bit == 0:
-            raise PropertyViolation(f"the two concepts taught by {{{x}}} agree on {x}")
-        c_of[x] = masks[b] if masks[a] & bit else masks[a]
-    bits = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            forward = c_of[j] >> (i - 1) & 1 == 1   # i in C_j
-            backward = c_of[i] >> (j - 1) & 1 == 1  # j in C_i
-            if forward == backward:
-                raise PropertyViolation(f"pair ({i}, {j}) is not oriented exactly once")
-            if forward:
-                bits |= 1 << pair_rank(n, i, j)
-    g = Tournament(n, bits)
-    if frozenset(class2(g).masks) != frozenset(masks):
-        raise PropertyViolation("recovered tournament does not induce the given class")
+    taught = [(m, x) for m, (x,) in zip(k.masks, t.sets)]
+    c_of = {x: m for m, x in taught if not m >> (x - 1) & 1}
+    full = (1 << n) - 1
+    # row i of the pair bits is the complement of C_i past i; the last row is most significant.
+    # An x that teaches no concept without x gets a C_x of 0, which the check below rejects.
+    rows = (f"{(full ^ c_of.get(i, 0)) >> i:0{n - i}b}" for i in range(n - 1, 0, -1))
+    g = Tournament(n, int("".join(rows) or "0", 2))
+    winners = _winner_masks(g)
+    for m, x in taught:
+        if m != winners[x - 1] and m != full ^ winners[x - 1]:
+            raise PropertyViolation("recovered tournament does not induce the given class")
     return g
 
 
@@ -201,8 +191,8 @@ def parse_tournament(text: str) -> Tournament:
     """Parse the tournament file format: exactly C(n,2) directed edges, one per pair."""
     lines = _content_lines(text)
     (n,) = _read_header(lines, "n")
-    bits = 0
     seen: set[int] = set()
+    ones: list[int] = []
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -219,7 +209,11 @@ def parse_tournament(text: str) -> Tournament:
             raise FormatError(f"line {lineno}: pair {{{i}, {j}}} oriented twice")
         seen.add(r)
         if a < b:
-            bits |= 1 << r
+            ones.append(r)
     if len(seen) != comb(n, 2):
         raise FormatError(f"expected {comb(n, 2)} edges, got {len(seen)}")
-    return Tournament(n, bits)
+    # sized only now, as the header's n alone does not bound the file
+    ranked = bytearray(b"0") * len(seen)
+    for r in ones:
+        ranked[r] = _ONE
+    return Tournament(n, int(ranked[::-1] or b"0", 2))

@@ -194,6 +194,19 @@ def test_verify_teacher_reports_first_clash_in_pair_order(half3, tmp_path):
     assert json.loads(outcome.text)["clash"] == ["000", "111"]
 
 
+def test_verify_teacher_names_the_first_clash_in_class_order(half3, tmp_path):
+    # the pairs {000, 100} and {011, 001} clash; the file lists the class in
+    # reverse, so in file order {001, 011} would come first
+    teacher = tmp_path / "reversed.nct"
+    teacher.write_text(
+        "n=3 d=1\n001 : 1\n011 : 1\n111 : 3\n110 : 2\n100 :\n000 : 3\n",
+        encoding="ascii",
+    )
+    outcome = dispatch(["verify-teacher", "--class", str(half3), "--teacher", str(teacher)])
+    assert outcome.code == EXIT_PROPERTY
+    assert outcome.text == "clash: concepts 000 and 100 agree on {3}"
+
+
 def test_verify_teacher_wrong_class_is_input_error(half3, tmp_path):
     teacher = tmp_path / "t.nct"
     teacher.write_text("n=3 d=1\n000 : 1\n100 : 2\n", encoding="ascii")
@@ -243,6 +256,12 @@ def test_tournament_recover_with_explicit_teacher(tmp_path):
     )
     assert outcome.code == EXIT_OK
     assert outcome.text == trn.read_text(encoding="ascii").rstrip("\n")
+    # the same teacher with its concepts in reverse is matched to the class by mask
+    header, *rows = nct.read_text(encoding="ascii").splitlines()
+    reversed_nct = tmp_path / "reversed.nct"
+    reversed_nct.write_text("\n".join([header] + rows[::-1]) + "\n", encoding="ascii")
+    argv = ["tournament", "recover", "--class", str(cls), "--teacher", str(reversed_nct)]
+    assert dispatch(argv) == outcome
 
 
 def test_tournament_recover_non_tournament_class(tmp_path):
@@ -505,6 +524,7 @@ SLOW_SEARCHES = {
               "--jobs", "2"],
     "tau": ["experiment", "tau", "--n", "128", "--trials", "100000", "--seed", "1", "--k", "3"],
     "maxclass": ["search", "maxclass", "--n", "6", "--d", "3"],
+    "claim": ["experiment", "claim", "--scan-max", str(2 ** 1000)],
 }
 
 

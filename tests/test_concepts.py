@@ -131,12 +131,15 @@ def _family_over_4(text):
     (parse_class, "n=2\n01\n01\n", "line 3:"),
     (parse_class, "n=0\n", "line 1:"),
     (parse_class, "n=2\n", ""),
+    (parse_class, "n=x\n0\n", "line 1:"),
     (parse_teacher, "", ""),
     (parse_teacher, "n=3\n000 :\n", "line 1:"),
     (parse_teacher, "n=3 d=1\n000 : 4\n", "line 2:"),
     (parse_teacher, "n=3 d=1\n00 : 1\n", "line 2:"),
     (parse_teacher, "n=3 d=1\n000 : 1\n000 : 2\n", "line 3:"),
     (parse_teacher, "n=3 d=1\n000 1\n", "line 2:"),
+    (parse_teacher, "n=3 d=1\n000 : 1 2\n", "line 2:"),
+    (parse_teacher, "n=3 d=1\n", ""),
     (parse_tournament, "1 2\n", "line 1:"),
     (parse_tournament, "n=3\n1 2\n1 3\n", ""),
     (parse_tournament, "n=3\n1 2\n2 1\n1 3\n2 3\n", "line 3:"),
@@ -144,6 +147,8 @@ def _family_over_4(text):
     (parse_tournament, "n=3\n1 2\n1 3\n3 4\n", "line 4:"),
     (parse_tournament, "n=3\n1 1\n1 3\n2 3\n", "line 2:"),
     (parse_tournament, "n=0\n", "line 1:"),
+    (parse_tournament, "n=3\n1 2 3\n", "line 2:"),
+    (parse_tournament, "n=3\n1 a\n", "line 2:"),
     (_family_over_4, "1 2\n1\n", "line 2:"),
     (_family_over_4, "1 1\n", "line 1:"),
     (_family_over_4, "1 9\n", "line 1:"),

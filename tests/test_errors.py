@@ -10,6 +10,7 @@ from teachlab import (
     ConceptClass,
     budget,
     check_budget,
+    claim_scan,
     class2,
     decide_order,
     h_max,
@@ -62,6 +63,7 @@ STOPS = {
                         "order-1 carrier propagation"),
     # 560 three-sets outnumber the need, so no cells are split
     "decide_order-d2": (lambda: decide_order([0, 1], 16, 2), "order-2 teacher search"),
+    "claim_scan": (lambda: claim_scan(), "claim scan"),
 }
 
 

@@ -130,6 +130,10 @@ def test_nctd_singleton_class_is_zero():
     res = nctd(k)
     assert res.status == "exact" and res.d == 0
     assert res.teacher.sets == (frozenset(),)
+    # an empty class has the empty teacher, but no dimension
+    assert decide_order([], 3, 1) == []
+    with pytest.raises(ValueError, match="empty class"):
+        nctd(ConceptClass.from_masks([], 3))
 
 
 def test_nctd_counting_lower_bound():
@@ -532,6 +536,9 @@ def test_nctd_respects_d_max():
     assert res.status == "exceeds_d_max"
     assert res.teacher is None
     assert res.d is None
+    for d_max in (-1, 5):
+        with pytest.raises(ValueError, match="d_max must lie in 0..4"):
+            nctd(k, d_max=d_max)
 
 
 def test_teacher_serialization_round_trip():

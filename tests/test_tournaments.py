@@ -8,6 +8,7 @@ recover_tournament inverts the construction.
 
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -31,6 +32,7 @@ from teachlab import (
     serialize_class,
     serialize_tournament,
     stream_bit,
+    tournaments,
 )
 
 
@@ -192,6 +194,36 @@ def test_recover_rejects_unbalanced_instance_use():
     bad = NCTeacher(k, (frozenset({1}),) * 6)
     with pytest.raises(PropertyViolation, match="clash"):
         recover_tournament(k, bad)
+
+
+def test_recover_checks_that_the_tournament_induces_the_class(monkeypatch):
+    # an admissible teacher always induces its class, so only a teacher that
+    # passes a switched-off clash test can reach this check
+    monkeypatch.setattr(tournaments, "is_nc_teacher", lambda t: True)
+    k = class2(linear_tournament(3))
+    with pytest.raises(PropertyViolation,
+                       match="^recovered tournament does not induce the given class$"):
+        recover_tournament(k, NCTeacher(k, (frozenset({1}),) * 6))
+
+
+def test_parse_and_recover_take_a_few_serializations():
+    # each is timed against serialize_tournament of the same tournament, so
+    # that the host's speed cancels.  Setting one pair bit at a time in a
+    # growing int took 16-17x a serialization to parse and 14-16x to recover
+    # at n = 2,000 (2 vCPUs); converting the pair bits once takes 2.8-3.1x
+    # and 1.6-2.3x
+    g = random_tournament(2000, 0)
+    t = canonical_teacher(g)
+    start = time.perf_counter()
+    text = serialize_tournament(g)
+    serialized = time.perf_counter()
+    assert parse_tournament(text).bits == g.bits
+    parsed = time.perf_counter()
+    assert recover_tournament(t.k, t).bits == g.bits
+    recovered = time.perf_counter()
+    unit = serialized - start
+    assert parsed - serialized < 7 * unit
+    assert recovered - parsed < 5 * unit
 
 
 def test_every_admissible_singleton_teacher_recovers_some_tournament():
