@@ -11,6 +11,12 @@ counting bound t*C(n,k+1)/(n-k), which equals t*C(n,k)/(k+1) exactly since
 each k-set lies in exactly n-k of the (k+1)-sets.  The search is one loop
 that backtracks by excluding the last vertex it included, and stops early
 only on the search budget (errors).
+
+The search never excludes vertex 0 ({1..k}): it stops where it would take
+that branch.  This keeps the value, as S_n acts transitively on the k-sets
+and keeps every (k+1)-set count, so some maximum family contains vertex 0.
+It keeps the witness, as the include-vertex-0 subtree comes first in DFS
+order, so the first leaf of the best size lies in it.
 """
 
 from __future__ import annotations
@@ -180,6 +186,10 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     witness and lower bound and the counting bound as upper; it never raises
     BudgetError.  Each vertex and (k+1)-set built and each greedy vertex is a
     step whose first read waits 2^20 units; each backtrack is a step.
+
+    The search stops where it would exclude vertex 0 ({1..k}).  By symmetry
+    some maximum family contains vertex 0, and the DFS visits the subtree
+    that includes it first, so the colex-least maximum lies there too.
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -242,8 +252,8 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
                 witness = [verts[i] for i in path]
                 if best >= upper0:
                     break
-            # pruned node or leaf: undo the last inclusion and take its exclude branch
-            if not path:
+            # pruned node or leaf: exclude the last vertex included, unless it is vertex 0
+            if len(path) <= 1:
                 break
             step()
             idx = path.pop()

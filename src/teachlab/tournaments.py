@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterator
 
 from .concepts import ConceptClass, _content_lines, _read_header
-from .errors import FormatError, PropertyViolation
+from .errors import FormatError, PropertyViolation, _charges, _steps
 from .ncteach import NCTeacher, is_nc_teacher
 from .rng import stream_bits
 
@@ -181,19 +181,30 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
 
 
 def serialize_tournament(g: Tournament) -> str:
-    """Render a tournament: header ``n=<int>``, then one ``i j`` line per pair."""
+    """Render a tournament: header ``n=<int>``, then one ``i j`` line per pair.
+
+    Each row of pairs is a step of the search budget (errors), charged its pairs.
+    """
+    charge = _charges("tournament writer")
     lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges())
+    for i, row in enumerate(_rows(g), 1):
+        charge(len(row))
+        lines.extend(f"{i} {j}" if ch == _ONE else f"{j} {i}" for j, ch in enumerate(row, i + 1))
     return "\n".join(lines) + "\n"
 
 
 def parse_tournament(text: str) -> Tournament:
-    """Parse the tournament file format: exactly C(n,2) directed edges, one per pair."""
+    """Parse the tournament file format: exactly C(n,2) directed edges, one per pair.
+
+    Each edge line is a step of the search budget (errors).
+    """
+    step = _steps("tournament reader")
     lines = _content_lines(text)
     (n,) = _read_header(lines, "n")
     seen: set[int] = set()
     ones: list[int] = []
     for lineno, line in lines:
+        step()
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'i j'")

@@ -1,7 +1,6 @@
 """The narrated demos run to completion against this checkout's sources.
 
-Demo 04 is left out: it spends about 28 s in h_max(7, 3, t), which the
-tighter H_t bound and symmetry cut on the roadmap are meant to bring down.
+Demo 04 is the slowest: it spends 6-9 s in h_max(7, 3, t) on 2 vCPUs.
 """
 
 import os
@@ -19,6 +18,7 @@ DEMOS = ROOT / "demos"
     "01_teaching_dimensions.py",
     "02_no_clash_teachers.py",
     "03_tournament_classes.py",
+    "04_johnson_extremal.py",
     "05_bounds_gallery.py",
     "06_probabilistic_experiments.py",
 ])

@@ -14,9 +14,12 @@ from teachlab import (
     class2,
     decide_order,
     h_max,
+    linear_tournament,
     narrow_clique_free,
+    parse_tournament,
     random_tournament,
     rtd,
+    serialize_tournament,
     td_min,
     td_of,
     teaching_report,
@@ -64,6 +67,10 @@ STOPS = {
     # 560 three-sets outnumber the need, so no cells are split
     "decide_order-d2": (lambda: decide_order([0, 1], 16, 2), "order-2 teacher search"),
     "claim_scan": (lambda: claim_scan(), "claim scan"),
+    # the codecs charge each row written and each edge line read
+    "serialize_tournament": (lambda: serialize_tournament(linear_tournament(3)),
+                             "tournament writer"),
+    "parse_tournament": (lambda: parse_tournament("n=2\n1 2\n"), "tournament reader"),
 }
 
 

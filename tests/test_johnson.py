@@ -6,6 +6,7 @@ members inside any (k+1)-subset, i.e. with no narrow (t+1)-clique.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -142,6 +143,22 @@ def test_h_max_frozen_values():
         assert len(res.witness.members) == want
 
 
+# SHA-256 of status, size, lower, upper and witness masks of h_max(n, k, t)
+# for every n <= 7 and for (8, 2, 2), recorded from the search that still
+# took vertex 0's exclude branch: the cut there changes none of them
+H_MAX_DIGEST = "cba610b1de72a4c9a8a058d64d834ef3d2401555b893c3a60ad2c5ca3b2d27b5"
+
+
+def test_h_max_results_match_the_search_without_the_vertex_0_cut():
+    cases = [(n, k, t) for n in range(1, 8) for k in range(1, n + 1) for t in range(1, k + 1)]
+    lines = []
+    for n, k, t in cases + [(8, 2, 2)]:
+        r = _h_max(n, k, t)
+        masks = ",".join(map(str, r.witness.member_masks()))
+        lines.append(f"{n} {k} {t} {r.status} {r.size} {r.lower} {r.upper} {masks}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == H_MAX_DIGEST
+
+
 def test_h_max_degenerate_rows():
     # a single k-set is the whole graph when n = k
     for k in range(1, 7):
@@ -217,10 +234,20 @@ def test_h_ratio_budget_error_when_inexact():
 
 
 def test_h_max_needs_no_call_depth(shallow_stack):
-    # any two singletons fill a 2-set, so the search walks all 150 vertices to prove size 1
+    # any two singletons fill a 2-set: the greedy takes {1} alone, and its one
+    # backtrack would exclude vertex 0, where the search stops with size 1
     res = h_max(150, 1, 1)
     assert res.status == "exact" and res.size == 1
     assert res.witness.members == frozenset({frozenset({1})})
+
+
+def test_h_max_walks_a_deep_path_with_no_call_depth(shallow_stack):
+    # the greedy path of (12, 3, 2) holds 30 vertices, and the search runs
+    # on past it until the budget stops it
+    with budget(0.2):
+        res = h_max(12, 3, 2)
+    assert res.status == "inconclusive" and res.size is None
+    assert res.lower >= 30 and res.upper == 110
 
 
 def test_h_max_inconclusive_when_over_limit():
