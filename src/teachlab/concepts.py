@@ -79,7 +79,8 @@ class Concept:
         return mask_to_instances(self.bits)
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.n))
+        """The inverse of from_string: the mask's n binary digits, least significant first."""
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.n and (self.bits >> (x - 1)) & 1 == 1

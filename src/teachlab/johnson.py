@@ -10,7 +10,10 @@ or exclude vertices in colex order, prune on remaining-vertex count and the
 counting bound t*C(n,k+1)/(n-k), which equals t*C(n,k)/(k+1) exactly since
 each k-set lies in exactly n-k of the (k+1)-sets.  The search is one loop
 that backtracks by excluding the last vertex it included, and stops early
-only on the search budget (errors).
+only on the search budget (errors).  Its first leaf is the greedy family.
+Each vertex and each (k+1)-set of the set-up is a step, and so is each
+backtrack: a descent between two backtracks reads no budget, and the first
+descent, the greedy, is no exception.
 
 The search never excludes vertex 0 ({1..k}): it stops where it would take
 that branch.  This keeps the value, as S_n acts transitively on the k-sets
@@ -184,8 +187,10 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     Exact, with the colex-least maximum witness, unless the search budget
     (errors) runs out: then it is inconclusive, with the best family found as
     witness and lower bound and the counting bound as upper; it never raises
-    BudgetError.  Each vertex and (k+1)-set built and each greedy vertex is a
-    step whose first read waits 2^20 units; each backtrack is a step.
+    BudgetError.  The search is one include-first DFS loop whose first leaf
+    is the greedy family.  Each vertex and (k+1)-set of the set-up is a step
+    whose first read waits 2^20 units, and each backtrack is a step, so no
+    descent between two backtracks reads the budget, the first one included.
 
     The search stops where it would exclude vertex 0 ({1..k}).  By symmetry
     some maximum family contains vertex 0, and the DFS visits the subtree
@@ -213,26 +218,16 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
                 b ^= low
                 vds[vindex[dm ^ low]].append(di)
 
-        # the greedy family is the first leaf of the include-first DFS, which
-        # resumes there; the witness, the first leaf of the best size, is the
-        # colex-least optimum.  The DFS path lists the included vertices, and
-        # backtracking pops the last one and resumes past it, excluded
+        # include-first DFS: the first leaf is the greedy family, and the first
+        # leaf of the best size the colex-least optimum.  Backtracking pops the
+        # last included vertex and resumes past it, excluded.  Each included
+        # k-set raises n-k counters, so slack = sum(t - counts) caps room at
+        # slack // (n - k)
         counts = [0] * nds
         path: list[int] = []
-        for idx in range(nv):
-            charge(0)
-            if all(counts[di] < t for di in vds[idx]):
-                for di in vds[idx]:
-                    counts[di] += 1
-                path.append(idx)
-                witness.append(verts[idx])
-        # every accepted k-set raises n-k of the D-counters, so the leftover
-        # slack sum(t - counts) caps any extension at slack // (n - k)
         stride = n - k
-        slack = t * nds - stride * len(path)
-        best, idx = len(path), nv
-        if best == upper0:  # the greedy meets the counting bound: nothing to search
-            path.clear()
+        slack = t * nds
+        best = idx = 0
         step = _steps(what)
         while True:
             room = nv - idx

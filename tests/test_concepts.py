@@ -1,5 +1,7 @@
 """Concept and class plumbing: masks, labels, (de)serialization."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,17 @@ def test_concept_string_examples():
     assert c.label(1) == 1 and c.label(2) == 0
     assert c.to_string() == "101"
     assert 3 in c and 2 not in c
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 1000])
+def test_concept_to_string_matches_the_per_bit_spelling(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for bits in [0, full, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(5)]:
+        c = Concept(n, bits)
+        want = "".join("1" if (bits >> j) & 1 else "0" for j in range(n))
+        assert c.to_string() == want
+        assert Concept.from_string(want) == c
 
 
 def test_concept_string_errors():

@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, floor
+from math import comb
 
 import pytest
 
@@ -170,10 +170,33 @@ def test_h_max_degenerate_rows():
             assert h_max(k + 1, k, t).size == t
 
 
+# closed forms that share no code with the search
+
 def test_h_max_matches_triangle_free_bipartite_count():
-    # k = 2, t = 2 forbids triangles; the extremal edge count is floor(n^2/4)
-    for n in (3, 4, 5, 6, 7):
-        assert h_max(n, 2, 2).size == floor(n * n / 4)
+    # k = 2, t = 2 forbids triangles; the extremal edge count is floor(n^2/4) (Mantel)
+    for n in range(3, 9):
+        assert _h_max(n, 2, 2).size == n * n // 4, n
+
+
+def test_h_max_matches_the_matching_number():
+    # k = 2, t = 1: no two edges in one triple, so no two edges meet
+    for n in range(2, 13):
+        assert h_max(n, 2, 1).size == n // 2, n
+
+
+def test_h_max_matches_the_pair_packing_number():
+    # k = 3, t = 1: no two triples share a pair; the packing number D(n, 3, 2)
+    # (Schonheim 1966, Spencer 1968)
+    for n in range(4, 9):
+        want = n * ((n - 1) // 2) // 3 - (n % 6 == 5)
+        assert h_max(n, 3, 1).size == want, n
+
+
+def test_h_max_matches_the_turan_number():
+    # k = t = 3: the complement of a family hits every 4-set, so
+    # H_3(n, 3) = C(n, 3) - T(n, 4, 3), the Turan number
+    for n, turan in ((4, 1), (5, 3), (6, 6), (7, 12)):
+        assert _h_max(n, 3, 3).size == comb(n, 3) - turan, n
 
 
 def test_h_max_matches_bruteforce():
@@ -251,14 +274,16 @@ def test_h_max_walks_a_deep_path_with_no_call_depth(shallow_stack):
 
 
 def test_h_max_inconclusive_when_over_limit():
-    # the set-up reads no budget before 2^20 units, so the greedy finishes
-    # and the search stops at its first backtrack
-    with budget(0):
-        res = h_max(12, 3, 2)
-    assert res.status == "inconclusive" and res.size is None
-    assert (res.lower, res.upper) == (30, 110)
-    assert narrow_clique_free(res.witness, 2)
-    assert len(res.witness.members) == res.lower
+    # the set-up reads no budget before 2^20 units (its 1,001 steps at n = 13
+    # take 1,025,024), and no descent reads it, so the first one, the greedy,
+    # finishes and the search stops at its first backtrack
+    for n, lower, upper in ((12, 30, 110), (13, 36, 143)):
+        with budget(0):
+            res = h_max(n, 3, 2)
+        assert res.status == "inconclusive" and res.size is None
+        assert (res.lower, res.upper) == (lower, upper), n
+        assert narrow_clique_free(res.witness, 2)
+        assert len(res.witness.members) == res.lower
 
 
 def test_h_max_set_up_stops_at_its_budget():
