@@ -24,7 +24,7 @@ functions here, and they share no search code:
   Both stay references independent of the cell-splitting searches.
 
 Every search is a loop on an explicit stack that charges its steps to a
-step meter (errors).
+step meter (errors) as wide as the most bits one of its steps reads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
-from .errors import _charges, _steps
+from .errors import _steps
 
 __all__ = [
     "TeachingReport",
@@ -244,15 +244,15 @@ def _easiest(k: ConceptClass, live: int) -> int:
     parts it makes; other frames push their parts so that the smallest is
     popped first: a level that fails visits them all, and the level that
     succeeds meets a one-concept part sooner.  Each frame and each lane test
-    is a step over the bits of the lanes or columns it reads (errors).
+    is a step as wide as all the lanes (errors).
     """
     if live & (live - 1) == 0:
         return 0
     splitters = _splitters(k, live)[0]
     count, width = len(splitters), live.bit_length() + 1
     lanes = _lanes(splitters, width)
-    charge = _charges("teaching-set search")
-    charge(count * width)
+    step = _steps("teaching-set search", count * width)
+    step()
     if _lone_lanes(live, 0, lanes):
         return 1
     for s in range(2, k.n + 1):
@@ -263,12 +263,12 @@ def _easiest(k: ConceptClass, live: int) -> int:
                 for j in range(start, count):
                     a = cell & splitters[j]
                     if a and a != cell:
-                        charge((count - j) * width)
+                        step()
                         shift = (j + 1) * width
                         if _lone_lanes(a, shift, lanes) or _lone_lanes(cell ^ a, shift, lanes):
                             return s
                 continue
-            charge((count - start) * width)
+            step()
             parts = []
             for j in range(start, count):
                 a = cell & splitters[j]
@@ -308,11 +308,11 @@ def _isolate(cols: list[int], packs: list[list[int]] | None, root: int, s: int, 
     count, width = len(cols), root.bit_length() + 1
     lanes = _lanes(cols, width)
     stack = [[root, 0, s, 0, root & want]]
-    charge = _charges("teaching-set search")
+    step = _steps("teaching-set search", count * width)
     while stack and want:
         frame = stack[-1]
         cell, j, budget, path, cands = frame
-        charge((count - j) * width)
+        step()
         cands &= want
         if peel:
             cell &= want

@@ -5,9 +5,13 @@ bad input (exit 2), BudgetError is an exceeded search budget (exit 3), and
 PropertyViolation is a mathematically meaningful failure such as a broken
 precondition or a refuted invariant (exit 1).  ``with budget(secs):`` sets
 the deadline, and nested budgets keep the earlier one.  Each call of an
-exact search charges its steps to a meter of its own (_steps, _charges): a
-step costs 1,024 units plus the bits it handles, and the meter reads the
-budget at the first step and again each time 2^20 more units have passed.
+exact search charges its steps to a meter of its own (_steps) made for a
+fixed step width: the most bits one of its steps handles.  A step costs
+1,024 units plus that width, and the meter reads the budget at the first
+step and again each time 2^20 more units have passed.  Three meters defer
+their first read by 2^20 units (first=False), so that small runs of them
+finish even under budget(0): the order-1 greedy, the h_max set-up and the
+random bit stream.
 """
 
 import time
@@ -54,29 +58,16 @@ def check_budget(what: str) -> None:
         raise BudgetError(f"{what} hit its deadline")
 
 
-def _steps(what: str, bits: int = 0) -> Callable[[], object]:
-    """A meter for steps of `bits` bits each: a C-level __next__, cheaper than a counter."""
+def _steps(what: str, bits: int = 0, first: bool = True) -> Callable[[], object]:
+    """A meter for steps of at most `bits` bits: a C-level __next__; first=False frees 2^20 units."""
     block = -(-_WORK_PER_READ // (1024 + bits))
-    return chain.from_iterable(starmap(_read, repeat((what, block)))).__next__
+    reads = starmap(_read, repeat((what, block)))
+    return chain.from_iterable(reads if first else chain((repeat(None, block),), reads)).__next__
 
 
 def _read(what: str, steps: int) -> repeat:
     check_budget(what)
     return repeat(None, steps)
-
-
-def _charges(what: str, first: bool = True) -> Callable[[int], None]:
-    """A meter for steps of varying bits; first=False defers the first read 2^20 units."""
-    left = 0 if first else _WORK_PER_READ
-
-    def charge(bits: int) -> None:
-        nonlocal left
-        left -= 1024 + bits
-        if left < 0:
-            check_budget(what)
-            left = _WORK_PER_READ
-
-    return charge
 
 
 def _resume_budget(until: float) -> None:

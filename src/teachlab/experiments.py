@@ -29,7 +29,7 @@ from math import comb
 from .bounds import ksz_bound
 from .classical import td_min
 from .concepts import ConceptClass, instances_to_mask
-from .errors import BudgetError, _charges, _process_pool
+from .errors import BudgetError, _process_pool, _steps
 from .ncteach import decide_order, nctd
 from .rng import stream
 from .tournaments import Tournament, all_tournaments, class1, class2, random_tournament
@@ -165,11 +165,11 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
         e += 1
     if not grid:
         grid.add(2)
-    # each value is charged about the bits of its binomials, n.bit_length() ** 2 at most
-    charge = _charges("claim scan")
+    # a value is a step over the bits of its binomials, limit.bit_length() ** 2 at most
+    step = _steps("claim scan", limit.bit_length() ** 2)
     records = []
     for n in sorted(grid):
-        charge(n.bit_length() ** 2)
+        step()
         records.append(claim_check(n))
 
     def onset(flags: list[bool]) -> int | None:

@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .concepts import _content_lines, _parse_instances, instances_to_mask, mask_to_instances
-from .errors import BudgetError, FormatError, _charges, _steps
+from .errors import BudgetError, FormatError, _steps
 
 __all__ = [
     "CliqueClass",
@@ -170,11 +170,11 @@ class HMaxResult:
     upper: int
 
 
-def _ascending(n: int, k: int, charge: Callable[[int], None]) -> Iterator[int]:
+def _ascending(n: int, k: int, step: Callable[[], object]) -> Iterator[int]:
     """The k-subsets of [n] as masks in ascending (colex) order, by Gosper's hack; a step each."""
     v, top = (1 << k) - 1, 1 << n
     while v < top:
-        charge(0)
+        step()
         yield v
         low = v & -v
         up = v + low
@@ -204,14 +204,14 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     nv, nds = comb(n, k), comb(n, k + 1)
     upper0 = min(nv, t * nds // (n - k))  # the counting bound
     what = f"H_{t}({n},{k}) search"
-    charge = _charges(what, first=False)
+    setup = _steps(what, first=False)
     witness: list[int] = []  # the best family found so far, as masks
     try:
-        vindex = {v: i for i, v in enumerate(_ascending(n, k, charge))}
+        vindex = {v: i for i, v in enumerate(_ascending(n, k, setup))}
         verts = list(vindex)
         # per vertex, the indices of the (k+1)-sets that contain it
         vds: list[list[int]] = [[] for _ in verts]
-        for di, dm in enumerate(_ascending(n, k + 1, charge)):
+        for di, dm in enumerate(_ascending(n, k + 1, setup)):
             b = dm
             while b:
                 low = b & -b

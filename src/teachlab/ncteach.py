@@ -47,7 +47,7 @@ from .concepts import (
     instances_to_mask,
     mask_to_instances,
 )
-from .errors import BudgetError, FormatError, _charges, _steps
+from .errors import BudgetError, FormatError, _steps
 
 __all__ = [
     "NCTeacher",
@@ -158,23 +158,23 @@ def _greedy_order1(masks: list[int] | tuple[int, ...], n: int) -> list[int] | No
     is taken when no lane of (mi*ones ^ packed) & (bit*ones | sets) is zero.
     A completed assignment is admissible by construction; failure says
     nothing, the caller falls back to the complete search.  A step is a
-    concept over the lanes its candidates test; the first read waits 2^20 units.
+    candidate tested, as wide as all the lanes; the first read waits 2^20 units.
     """
     width = n + 1
     assign: list[int] = []
     packed = sets = ones = 0  # ones: bit 0 of each earlier concept's lane
-    charge = _charges("order-1 greedy", first=False)
+    step = _steps("order-1 greedy", len(masks) * width, first=False)
     for i, mi in enumerate(masks):
         diff = mi * ones ^ packed
         guards = ones << n
         for off in range(n):
+            step()
             b = (i + off) % n
             x = diff & (ones << b | sets)
             if (x | guards) - ones & guards == guards:  # no guard borrowed from: no lane zero
                 break
         else:
             return None
-        charge((off + 1) * i * width)
         shift = i * width
         packed |= mi << shift
         sets |= 1 << b + shift

@@ -15,12 +15,16 @@ without spilling into the next, and masking every shifted copy to the low
 calling stream_bit once per index.  Indices are taken 4,096 lanes at a
 time, so the temporaries stay small however many bits are drawn; only the
 ASCII bits of each chunk are kept, and they are joined once at the end.
+Each chunk is a step of the search budget (errors), as wide as its lanes,
+whose first read waits 2^20 units: up to 8,192 bits read no budget.
 A chunk's lane states are (seed mod 2^64)*ones + steps, cut to 64 bits,
 where ones holds 1 and steps (r+1)*GAMMA in lane r: constants of the lane
 count alone, built once by doubling and cached for the last few counts.
 """
 
 from functools import lru_cache
+
+from .errors import _steps
 
 __all__ = ["mix64", "stream", "stream_bit", "stream_bits"]
 
@@ -99,6 +103,9 @@ def stream_bits(seed: int, count: int) -> int:
         raise ValueError("stream count must be nonnegative")
     if count == 0:
         return 0
-    chunks = [_chunk_bits(seed + start * _GAMMA, min(_CHUNK, count - start))
-              for start in range(0, count, _CHUNK)]
+    step = _steps("random bit stream", _CHUNK * _LANE, first=False)
+    chunks = []
+    for start in range(0, count, _CHUNK):
+        step()
+        chunks.append(_chunk_bits(seed + start * _GAMMA, min(_CHUNK, count - start)))
     return int(b"".join(chunks)[::-1], 2)

@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterator
 
 from .concepts import ConceptClass, _content_lines, _read_header
-from .errors import FormatError, PropertyViolation, _charges, _steps
+from .errors import FormatError, PropertyViolation, _steps
 from .ncteach import NCTeacher, is_nc_teacher
 from .rng import stream_bits
 
@@ -183,12 +183,12 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
 def serialize_tournament(g: Tournament) -> str:
     """Render a tournament: header ``n=<int>``, then one ``i j`` line per pair.
 
-    Each row of pairs is a step of the search budget (errors), charged its pairs.
+    Each row of pairs is a step of the search budget (errors), as wide as n pairs.
     """
-    charge = _charges("tournament writer")
+    step = _steps("tournament writer", g.n)
     lines = [f"n={g.n}"]
     for i, row in enumerate(_rows(g), 1):
-        charge(len(row))
+        step()
         lines.extend(f"{i} {j}" if ch == _ONE else f"{j} {i}" for j, ch in enumerate(row, i + 1))
     return "\n".join(lines) + "\n"
 

@@ -522,6 +522,8 @@ SLOW_SEARCHES = {
     "hmax": ["johnson", "hmax", "--n", "9", "--k", "4", "--t", "3"],
     "tdmin": ["experiment", "tdmin", "--n", "128", "--trials", "1000", "--seed", "1",
               "--jobs", "2"],
+    # generating the one 16,000-player tournament alone takes seconds
+    "tdmin-gen": ["experiment", "tdmin", "--n", "16000", "--trials", "1", "--seed", "0"],
     "tau": ["experiment", "tau", "--n", "128", "--trials", "100000", "--seed", "1", "--k", "3"],
     "maxclass": ["search", "maxclass", "--n", "6", "--d", "3"],
     "claim": ["experiment", "claim", "--scan-max", str(2 ** 1000)],

@@ -13,6 +13,7 @@ from teachlab import (
     claim_scan,
     class2,
     decide_order,
+    errors,
     h_max,
     linear_tournament,
     narrow_clique_free,
@@ -71,7 +72,23 @@ STOPS = {
     "serialize_tournament": (lambda: serialize_tournament(linear_tournament(3)),
                              "tournament writer"),
     "parse_tournament": (lambda: parse_tournament("n=2\n1 2\n"), "tournament reader"),
+    # 19,900 pair bits take 5 chunks, past the 2 that the deferred first read frees
+    "random_tournament": (lambda: random_tournament(200, 0), "random bit stream"),
 }
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("bits", [0, 1000, 1 << 20])
+def test_a_meter_reads_its_budget_once_per_block_of_steps(monkeypatch, bits, first):
+    # a step costs 1,024 units plus the meter's width, a block of steps spends
+    # 2^20 units, and first=False lets one block pass before the first read
+    block = -(-(1 << 20) // (1024 + bits))
+    step_index, read_at = 0, []
+    monkeypatch.setattr(errors, "check_budget", lambda what: read_at.append(step_index))
+    step = errors._steps("probe", bits, first)
+    for step_index in range(1, 2 * block + 2):
+        step()
+    assert read_at == [1, block + 1, 2 * block + 1][0 if first else 1:]
 
 
 @pytest.mark.parametrize("name", sorted(STOPS))

@@ -363,8 +363,8 @@ def test_order1_search_over_600_concepts_reads_its_budget_every_few_nodes(monkey
     nodes, read_at = 0, []
     steps = ncteach._steps
 
-    def counted_steps(what, bits=0):
-        step = steps(what, bits)
+    def counted_steps(what, bits=0, first=True):
+        step = steps(what, bits, first)
         if what != "order-1 teacher search":
             return step
 
