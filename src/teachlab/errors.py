@@ -8,10 +8,10 @@ the deadline, and nested budgets keep the earlier one.  Each call of an
 exact search charges its steps to a meter of its own (_steps) made for a
 fixed step width: the most bits one of its steps handles.  A step costs
 1,024 units plus that width, and the meter reads the budget at the first
-step and again each time 2^20 more units have passed.  Three meters defer
+step and again each time 2^20 more units have passed.  Five meters defer
 their first read by 2^20 units (first=False), so that small runs of them
-finish even under budget(0): the order-1 greedy, the h_max set-up and the
-random bit stream.
+finish even under budget(0): the order-1 greedy, the h_max set-up, the
+random bit stream, the tournament winner sets and the no-clash check.
 """
 
 import time

@@ -6,14 +6,23 @@ narrow when their union has only k+1 elements; maximal narrow cliques are
 exactly the k-subsets of a (k+1)-set.  A family therefore avoids narrow
 (t+1)-cliques iff every (k+1)-subset of [n] contains at most t members, and
 that counter form drives the branch-and-bound search for H_t(n, k): include
-or exclude vertices in colex order, prune on remaining-vertex count and the
-counting bound t*C(n,k+1)/(n-k), which equals t*C(n,k)/(k+1) exactly since
-each k-set lies in exactly n-k of the (k+1)-sets.  The search is one loop
-that backtracks by excluding the last vertex it included, and stops early
-only on the search budget (errors).  Its first leaf is the greedy family.
-Each vertex and each (k+1)-set of the set-up is a step, and so is each
-backtrack: a descent between two backtracks reads no budget, and the first
-descent, the greedy, is no exception.
+or exclude vertices in colex order, prune on remaining-vertex count, and
+stop once a family meets the counting bound t*C(n,k+1)/(n-k), which equals
+t*C(n,k)/(k+1) exactly since each k-set lies in exactly n-k of the
+(k+1)-sets.  The search is one loop that backtracks by excluding the last
+vertex it included, and stops early only on the search budget (errors).
+Its first leaf is the greedy family.  Each vertex and each (k+1)-set of
+the set-up is a step, and so is each backtrack: a descent between two
+backtracks reads no budget, and the first descent, the greedy, is no
+exception.
+
+The loop's cost per vertex is one C-level call: an operator.itemgetter per
+vertex reads the counters of its n-k (k+1)-sets as a tuple, and the vertex
+is skipped when t is among them.  The remaining-vertex prune is an index
+limit that moves only when the search includes a vertex or backtracks, so
+a run of skipped vertices costs no arithmetic.  The set-up keeps, per
+vertex, one tuple of counter indices, which its getter shares: memory is
+O(C(n,k) * (n-k)).
 
 The search never excludes vertex 0 ({1..k}): it stops where it would take
 that branch.  This keeps the value, as S_n acts transitively on the k-sets
@@ -29,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .concepts import _content_lines, _parse_instances, instances_to_mask, mask_to_instances
@@ -188,9 +198,12 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     (errors) runs out: then it is inconclusive, with the best family found as
     witness and lower bound and the counting bound as upper; it never raises
     BudgetError.  The search is one include-first DFS loop whose first leaf
-    is the greedy family.  Each vertex and (k+1)-set of the set-up is a step
-    whose first read waits 2^20 units, and each backtrack is a step, so no
-    descent between two backtracks reads the budget, the first one included.
+    is the greedy family.  It tests a vertex with one getter call on the
+    (k+1)-set counters and skips past blocked vertices up to an index limit
+    that moves only on an include or a backtrack.  Each vertex and
+    (k+1)-set of the set-up is a step whose first read waits 2^20 units, and
+    each backtrack is a step, so no descent between two backtracks reads the
+    budget, the first one included.
 
     The search stops where it would exclude vertex 0 ({1..k}).  By symmetry
     some maximum family contains vertex 0, and the DFS visits the subtree
@@ -207,42 +220,47 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     setup = _steps(what, first=False)
     witness: list[int] = []  # the best family found so far, as masks
     try:
-        vindex = {v: i for i, v in enumerate(_ascending(n, k, setup))}
-        verts = list(vindex)
-        # per vertex, the indices of the (k+1)-sets that contain it
-        vds: list[list[int]] = [[] for _ in verts]
-        for di, dm in enumerate(_ascending(n, k + 1, setup)):
-            b = dm
-            while b:
-                low = b & -b
-                b ^= low
-                vds[vindex[dm ^ low]].append(di)
+        dindex = {d: i for i, d in enumerate(_ascending(n, k + 1, setup))}
+        points = [1 << x for x in range(n)]
+        # per vertex, the indices of the n-k (k+1)-sets that contain it, and a
+        # getter of their counts that shares that tuple; it lists a lone index
+        # (k = n-1) twice, as a getter of one index returns a bare count
+        verts: list[int] = []
+        vds: list[tuple[int, ...]] = []
+        reads: list[itemgetter] = []
+        for v in _ascending(n, k, setup):
+            ds = tuple([dindex[v | p] for p in points if not v & p])
+            verts.append(v)
+            vds.append(ds)
+            reads.append(itemgetter(*ds) if len(ds) > 1 else itemgetter(*ds, *ds))
+        del dindex
 
         # include-first DFS: the first leaf is the greedy family, and the first
         # leaf of the best size the colex-least optimum.  Backtracking pops the
-        # last included vertex and resumes past it, excluded.  Each included
-        # k-set raises n-k counters, so slack = sum(t - counts) caps room at
-        # slack // (n - k)
+        # last included vertex and resumes past it, excluded.  A node can beat
+        # best only if depth + (vertices left) > best, so every vertex from
+        # lim = nv - (best - depth) on is pruned, or none while depth > best:
+        # lim moves only when the search includes a vertex or backtracks.  The
+        # counting bound prunes nothing: an included k-set takes n-k of the
+        # t * C(n, k+1) counter units, so depth plus the units left over n-k
+        # stays upper0 or more, and it serves only to stop at upper0
         counts = [0] * nds
         path: list[int] = []
-        stride = n - k
-        slack = t * nds
         best = idx = 0
+        lim = nv
         step = _steps(what)
         while True:
-            room = nv - idx
-            cap = slack // stride
-            if cap < room:
-                room = cap
-            if len(path) + room > best:
-                if idx < nv:
-                    if all(counts[di] < t for di in vds[idx]):
-                        for di in vds[idx]:
-                            counts[di] += 1
-                        slack -= stride
-                        path.append(idx)
-                    idx += 1
-                    continue
+            while idx < lim and t in reads[idx](counts):
+                idx += 1  # skip a vertex that would fill a (k+1)-set past t
+            if idx < lim:
+                for di in vds[idx]:
+                    counts[di] += 1
+                path.append(idx)
+                idx += 1
+                if lim < nv:
+                    lim += 1
+                continue
+            if len(path) > best:  # idx = nv: a leaf
                 best = len(path)
                 witness = [verts[i] for i in path]
                 if best >= upper0:
@@ -254,8 +272,8 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
             idx = path.pop()
             for di in vds[idx]:
                 counts[di] -= 1
-            slack += stride
             idx += 1
+            lim -= 1  # a leaf has just set best = depth, or a prune found depth <= best
     except BudgetError:
         best = None  # stopped: the witness is the best family found
     fam = KSetFamily(n, k, frozenset(mask_to_instances(v) for v in witness))

@@ -96,11 +96,18 @@ def clash(c: Concept, c2: Concept, s: Iterable[int], s2: Iterable[int]) -> bool:
 
 
 def _first_clash(t: NCTeacher) -> tuple[int, int] | None:
-    """The first clashing concept-index pair (i, j), i < j, in lexicographic order, or None."""
+    """The first clashing concept-index pair (i, j), i < j, in lexicographic order, or None.
+
+    Each row i, compared with every later concept, is a step of the search
+    budget (errors), as wide as all the concepts' bits; the first read waits
+    2^20 units, so that small checks finish even under budget(0).
+    """
     masks = t.k.masks
     smasks = t.set_masks()
     m = len(masks)
+    step = _steps("clash check", m * t.k.n, first=False)
     for i in range(m):
+        step()
         for j in range(i + 1, m):
             if (masks[i] ^ masks[j]) & (smasks[i] | smasks[j]) == 0:
                 return i, j

@@ -117,15 +117,24 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
 
 
 def _winner_masks(g: Tournament) -> list[int]:
-    """Mask of C_j = {i : edge (i, j)} for each j."""
+    """Mask of C_j = {i : edge (i, j)} for each j.
+
+    Each column j is a step of the search budget (errors), as wide as n
+    pairs; the first read waits 2^20 units, so that up to 633 players are
+    read without one.
+    """
     n = g.n
+    step = _steps("winner-set builder", n, first=False)
     rows = _rows(g)
     # upper[(i-1)*n + (j-1)] is the bit of pair (i, j) for i < j, "0" on and below the diagonal
     upper = b"".join(b"0" * i + row for i, row in enumerate(rows, 1))
     # C_j holds i < j when pair (i, j) is set (column j up to the diagonal)
     # and i > j when pair (j, i) is clear (row j complemented)
-    return [int((upper[j - 1::n][:j] + rows[j - 1].translate(_FLIP))[::-1], 2)
-            for j in range(1, n + 1)]
+    winners = []
+    for j in range(1, n + 1):
+        step()
+        winners.append(int((upper[j - 1::n][:j] + rows[j - 1].translate(_FLIP))[::-1], 2))
+    return winners
 
 
 def class1(g: Tournament) -> ConceptClass:

@@ -9,12 +9,15 @@ from teachlab import (
     BudgetError,
     ConceptClass,
     budget,
+    canonical_teacher,
     check_budget,
     claim_scan,
+    class1,
     class2,
     decide_order,
     errors,
     h_max,
+    is_nc_teacher,
     linear_tournament,
     narrow_clique_free,
     parse_tournament,
@@ -55,6 +58,7 @@ def _shuffled_class2(n):
 
 
 _K = ConceptClass.from_masks(random.Random(40).sample(range(1 << 10), 20), 10)
+_T64 = canonical_teacher(linear_tournament(64))
 
 # each search's first read under an expired budget, and the name it stops under
 STOPS = {
@@ -74,6 +78,10 @@ STOPS = {
     "parse_tournament": (lambda: parse_tournament("n=2\n1 2\n"), "tournament reader"),
     # 19,900 pair bits take 5 chunks, past the 2 that the deferred first read frees
     "random_tournament": (lambda: random_tournament(200, 0), "random bit stream"),
+    # 700 columns of 700 pairs, past the 609 that the deferred first read frees
+    "class1": (lambda: class1(linear_tournament(700)), "winner-set builder"),
+    # 128 rows of 128 concepts over [64], past the 114 that the deferred first read frees
+    "is_nc_teacher": (lambda: is_nc_teacher(_T64), "clash check"),
 }
 
 

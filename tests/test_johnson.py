@@ -159,6 +159,27 @@ def test_h_max_results_match_the_search_without_the_vertex_0_cut():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == H_MAX_DIGEST
 
 
+# the same digest for every (8, k, t); the eight cases that the search does
+# not finish in seconds run under budget(0), which pins their greedy family
+H_MAX_8_DIGEST = "5a63105fb11f03e8bcc41ec10c4509684ad25f0a5f2a26f37d6fc23505bc128e"
+H_MAX_8_GREEDY = {(8, 3, 2), (8, 3, 3), (8, 4, 2), (8, 4, 3), (8, 4, 4),
+                  (8, 5, 3), (8, 5, 4), (8, 5, 5)}
+
+
+def test_h_max_results_at_n_8():
+    lines = []
+    for k in range(1, 9):
+        for t in range(1, k + 1):
+            if (8, k, t) in H_MAX_8_GREEDY:
+                with budget(0):
+                    r = h_max(8, k, t)
+            else:
+                r = h_max(8, k, t)
+            masks = ",".join(map(str, r.witness.member_masks()))
+            lines.append(f"8 {k} {t} {r.status} {r.size} {r.lower} {r.upper} {masks}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == H_MAX_8_DIGEST
+
+
 def test_h_max_degenerate_rows():
     # a single k-set is the whole graph when n = k
     for k in range(1, 7):
