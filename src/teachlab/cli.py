@@ -241,7 +241,8 @@ def _cmd_verify_teacher(args) -> Report:
 
 
 def _tournament_json(g: Tournament) -> dict:
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
+    # the edges stay a generator, so that only --json (dispatch's default=list) lists them
+    return {"n": g.n, "edges": g.edges()}
 
 
 def _cmd_tournament_gen(args) -> Report:
@@ -550,7 +551,10 @@ _ERROR_EXITS = {
 
 
 def dispatch(argv: list[str]) -> CommandOutcome:
-    """Run one command; --json prints the handler's object, otherwise its text lines."""
+    """Run one command; --json prints the handler's object, otherwise its text lines.
+
+    An iterator in the object, such as a tournament's edges, is listed only here.
+    """
     args = _build_parser().parse_args(argv)
     try:
         secs = args.timeout
@@ -561,7 +565,7 @@ def dispatch(argv: list[str]) -> CommandOutcome:
     except tuple(_ERROR_EXITS) as exc:
         code = next(c for kind, c in _ERROR_EXITS.items() if isinstance(exc, kind))
         doc, lines = {"error": str(exc)}, [f"error: {exc}"]
-    return CommandOutcome(code, json.dumps(doc) if args.json else "\n".join(lines))
+    return CommandOutcome(code, json.dumps(doc, default=list) if args.json else "\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> int:

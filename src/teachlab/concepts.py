@@ -155,12 +155,24 @@ def complement(c: Concept) -> Concept:
     return Concept(c.n, c.bits ^ ((1 << c.n) - 1))
 
 
+_BLOCK = 1 << 16  # the characters split into lines at once, rounded up to the next "\n"
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped line) for each line that is neither blank nor a # comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    """(1-based line number, stripped line) for each line that is neither blank nor a # comment.
+
+    The lines are those of text.splitlines(), split one block at a time, so
+    that at most one block's lines exist at once.  Each block ends just
+    after a "\n", which no line boundary straddles ("\r\n" ends there too).
+    """
+    lineno, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:end].splitlines(), start=lineno + 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+        start = end
 
 
 def _read_header(lines: Iterator[tuple[int, str]], *keys: str) -> list[int]:

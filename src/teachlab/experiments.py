@@ -7,9 +7,10 @@ exhaustive searches (dimension-1 characterization, maximum-class search)
 enumerate concept classes directly as subsets of the 2^n concept masks and
 lean on the order-d teacher decision procedure, once per orbit of classes
 under the symmetries of the n-cube (domain permutations and XOR by a
-concept mask), which keep every clash.  Maximum witnesses are reported as
-canonical forms under domain permutation, read from the same tables of
-concept images under each permutation.
+concept mask), which keep every clash.  Each orbit is walked on the
+2^n-bit class mask alone, by delta swaps.  Maximum witnesses are reported
+as canonical forms under domain permutation, read from tables of concept
+images under each permutation.
 
 The threshold and claim arithmetic uses base-2 logarithms throughout.
 Binomials are exact integers however large; the only approximate step is
@@ -24,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .bounds import ksz_bound
@@ -349,8 +351,53 @@ def _perm_tables(n: int) -> list[list[int]]:
             for perm in itertools.permutations(range(n))]
 
 
-def _decided_classes(n: int, d: int, size: int,
-                     tables: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
+def _plain_changes(n: int) -> list[int]:
+    """The Steinhaus-Johnson-Trotter order of S_n as n! - 1 adjacent transpositions.
+
+    Entry i swaps positions i and i + 1.  Between two transpositions of the
+    first n - 1 elements, element n sweeps down from the last position to
+    the first, or back up.
+    """
+    if n < 2:
+        return []
+    out = []
+    for j, i in enumerate(_plain_changes(n - 1) + [-1]):
+        out.extend(range(n - 2, -1, -1) if j % 2 == 0 else range(n - 1))
+        if i >= 0:
+            out.append(i + 1 - j % 2)  # the others sit one position up after a sweep down
+    return out
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+@lru_cache(maxsize=4)
+def _cube_walk(n: int) -> tuple[bytes, list[tuple[int, int]], list[tuple[int, int]]]:
+    """The popcount of each class mask over [n], and the swaps that walk its cube orbit.
+
+    The popcounts, byte x for mask x, are built by doubling: the counts of
+    the masks with concept c are those without it, plus one.  A move
+    (width, low) XORs every concept with 2^i: it swaps each block of
+    2^i = width concepts without instance i+1 (low) with the block above,
+    and the moves of a Gray code over i visit every translation.  A turn
+    (shift, mask) swaps instances i+1 and i+2 by one delta swap: each
+    concept c with c >> i & 3 == 1 (mask) trades places with c + 2^i =
+    c + shift.  The turns start with (0, 0), which changes nothing, and go
+    on through the n! - 1 transpositions of _plain_changes(n), so they visit
+    every permutation.
+    """
+    total = 1 << n
+    counts = b"\0"
+    for _ in range(total):
+        counts += counts.translate(_PLUS_ONE)
+    moves = [(1 << i, sum(1 << c for c in range(total) if not c >> i & 1))
+             for i in ((v & -v).bit_length() - 1 for v in range(1, total))]
+    turns = [(0, 0)] + [(1 << i, sum(1 << c for c in range(total) if c >> i & 3 == 1))
+                        for i in _plain_changes(n)]
+    return counts, moves, turns
+
+
+def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ...]]]:
     """The number of size-concept classes over [n], counted as they are
     decided, and those with an order-d teacher, as combination tuples in
     itertools.combinations order.
@@ -359,44 +406,39 @@ def _decided_classes(n: int, d: int, size: int,
     v keeps every c ^ c', and permuting the instances maps each set S to its
     image and keeps every clash too.  So the images of a class under the
     cube group (the n! permutations composed with the 2^n translations) have
-    the same teachers.  Each class is looked up by its 2^n-bit class mask;
-    the first class of an orbit runs decide_order, and its verdict is stored
-    under the mask of every image.  For each permutation (tables, from
-    _perm_tables(n)) a Gray-code walk over v starts from the permuted class:
-    flipping bit i of v swaps each block of 2^i concepts without instance
-    i+1 with the block above it.
+    the same teachers.  A class is its 2^n-bit class mask, and each mask has
+    a verdict byte: 0 undecided, 1 refuted, 2 admissible, and 3 for every
+    mask of another size, read from the popcounts of _cube_walk(n).  The
+    scan finds the next undecided mask with bytearray.find, runs
+    decide_order once on that class, and writes the verdict under every
+    image in its orbit: the turns of _cube_walk reach each permuted class,
+    and from each one not yet written, the moves reach its translations.
     The scan stops once every class has a verdict, which at (4, 1, 8) is
-    after 5,279 of the 12,870 combinations.  The verdicts live for this call
-    only.
+    after 74 decisions.  The verdicts live for this call only.
     """
     total = 1 << n
-    # per permutation, the identity first: the bit of each concept's image
-    images = [[1 << c for c in table] for table in tables]
-    bits = images[0]
-    # per step of the walk: the block width and the concepts without the flipped instance
-    swaps = [(1 << i, sum(b for c, b in enumerate(bits) if not c >> i & 1))
-             for i in ((v & -v).bit_length() - 1 for v in range(1, total))]
-    # one byte per class mask: 0 undecided, 1 refuted, 2 admissible; 64 KB at
-    # n = 4, the largest n that verify_dim1 and max_class_search enumerate
-    verdicts = bytearray(1 << total)
-    classes, decided = comb(total, size), 0
-    for combo in itertools.combinations(range(total), size):
-        if verdicts[sum(map(bits.__getitem__, combo))]:
-            continue
-        verdict = 1 if decide_order(list(combo), n, d) is None else 2
-        for image in images:
-            key = sum(map(image.__getitem__, combo))
-            if verdicts[key]:
+    counts, moves, turns = _cube_walk(n)
+    # one byte per class mask; 64 KB at n = 4, the largest n that
+    # verify_dim1 and max_class_search enumerate
+    verdicts = bytearray(counts.translate(b"\3" * size + b"\0" + b"\3" * (255 - size)))
+    classes, decided, key = comb(total, size), 0, -1
+    while decided < classes:
+        key = verdicts.find(0, key + 1)
+        verdict = 1 if decide_order([c for c in range(total) if key >> c & 1], n, d) is None else 2
+        image = key
+        for shift, mask in turns:
+            t = (image ^ image >> shift) & mask
+            image ^= t ^ t << shift
+            if verdicts[image]:
                 continue  # written with its whole translation orbit
-            verdicts[key] = verdict
+            verdicts[image] = verdict
             decided += 1
-            for width, low in swaps:
-                key = (key & low) << width | key >> width & low
-                if not verdicts[key]:
-                    verdicts[key] = verdict
+            moved = image
+            for width, low in moves:
+                moved = (moved & low) << width | moved >> width & low
+                if not verdicts[moved]:
+                    verdicts[moved] = verdict
                     decided += 1
-        if decided == classes:
-            break
     passing = []
     key = verdicts.find(2)
     while key >= 0:
@@ -410,10 +452,13 @@ def verify_dim1(n: int) -> Dim1Report:
     ones against the tournament-induced classes.
 
     Every class is counted as a candidate as it is decided, one call to
-    decide_order per orbit of the cube group (_decided_classes).  At n = 4
-    the 12,870 classes fall into 74 orbits, so decide_order is called 74
-    times; its trace count refutes 41 of them (7,908 classes).  n = 4 takes
-    about 0.015 s.  n > 4 is refused for memory: a 4 GiB verdict table at n = 5.
+    decide_order per orbit of the cube group (_decided_classes): the scan
+    visits only the class masks of 2n concepts that no earlier orbit
+    reached, and delta swaps on the mask reach every image of each.  At
+    n = 4 the 12,870 classes fall into 74 orbits, so decide_order is called
+    74 times; its trace count refutes 41 of them (7,908 classes).  n = 4
+    takes about 5 ms (Python 3.11, 2 vCPUs).  n > 4 is refused for memory:
+    a 4 GiB verdict table at n = 5.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -421,7 +466,7 @@ def verify_dim1(n: int) -> Dim1Report:
         raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")
     size = 2 * n
     full = (1 << n) - 1
-    candidates, admissible = _decided_classes(n, 1, size, _perm_tables(n))
+    candidates, admissible = _decided_classes(n, 1, size)
     passing = frozenset(map(frozenset, admissible))
     expected = frozenset(frozenset(class2(g).masks) for g in all_tournaments(n))
     closed = all(all((full ^ m) in cls for m in cls) for cls in passing)
@@ -451,9 +496,13 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
 
     Removing concepts never raises NCTD, so the first size with any passing
     class is the maximum; one concept always passes.  Each size is decided
-    one orbit of the cube group at a time (_decided_classes): at (4, 1) the
-    12,870 classes of size 8 need 74 calls to decide_order (0.02 s in all),
-    and the power set, when the bound allows it, needs one.  Past n = 4,
+    one orbit of the cube group at a time (_decided_classes), whose scan
+    visits only the class masks of that size no earlier orbit reached and
+    whose delta swaps on the mask reach every image: at (4, 1) the 12,870
+    classes of size 8 need 74 calls to decide_order (about 4.5 ms in all on
+    Python 3.11, 2 vCPUs), and the power set, when the bound allows it,
+    needs one.  Canonical witnesses are the least images under the domain
+    permutations, read from _perm_tables, which only they use.  Past n = 4,
     where the verdict table would take 4 GiB, a greedy witness (each concept
     in turn, kept when the class stays admissible) and the counting upper
     bound are reported; a greedy that takes every concept is exact.
@@ -470,10 +519,10 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
         if lower == 1 << n:  # the power set, its own canonical form
             return MaxClassResult(n, d, "exact", lower, witness, lower, lower)
         return MaxClassResult(n, d, "inconclusive", None, witness, lower, upper)
-    tables = _perm_tables(n)
     for size in range(upper, 0, -1):
-        _, passing = _decided_classes(n, d, size, tables)
+        _, passing = _decided_classes(n, d, size)
         if passing:
+            tables = _perm_tables(n)
             canon = sorted({_canonical_class(c, tables) for c in passing})
             witnesses = tuple(ConceptClass.from_masks(c, n) for c in canon)
             return MaxClassResult(n, d, "exact", size, witnesses, size, size)

@@ -192,14 +192,19 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
 def serialize_tournament(g: Tournament) -> str:
     """Render a tournament: header ``n=<int>``, then one ``i j`` line per pair.
 
-    Each row of pairs is a step of the search budget (errors), as wide as n pairs.
+    Each row of pairs is a step of the search budget (errors), as wide as n
+    pairs, and is joined into one string at once, so that at most one row's
+    line strings exist at a time.
     """
     step = _steps("tournament writer", g.n)
-    lines = [f"n={g.n}"]
+    rows = [f"n={g.n}"]
     for i, row in enumerate(_rows(g), 1):
         step()
-        lines.extend(f"{i} {j}" if ch == _ONE else f"{j} {i}" for j, ch in enumerate(row, i + 1))
-    return "\n".join(lines) + "\n"
+        if row:  # the last player's row is empty
+            rows.append("\n".join([f"{i} {j}" if ch == _ONE else f"{j} {i}"
+                                   for j, ch in enumerate(row, i + 1)]))
+    rows.append("")  # the final "\n", with no copy of the text to add it
+    return "\n".join(rows)
 
 
 def parse_tournament(text: str) -> Tournament:

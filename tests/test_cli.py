@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,20 @@ def test_tournament_gen_seeded_round_trip(tmp_path):
     assert dispatch(["tournament", "gen", "--n", "6", "--seed", "9", "--out", str(a)]).code == EXIT_OK
     assert dispatch(["tournament", "gen", "--n", "6", "--seed", "9", "--out", str(b)]).code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_tournament_gen_to_a_file_lists_no_edges(tmp_path):
+    # the JSON object's edge list is built only under --json: listing the
+    # 244,650 edges of n = 700 first peaked at 16x the file
+    out = tmp_path / "g.trn"
+    tracemalloc.start()
+    try:
+        assert dispatch(["tournament", "gen", "--n", "700", "--seed", "3",
+                         "--out", str(out)]).code == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.stat().st_size
 
 
 def test_tournament_gen_negative_seed_golden(tmp_path, capsys):

@@ -19,6 +19,7 @@ from teachlab import (
     parse_family,
     parse_teacher,
     parse_tournament,
+    concepts,
     serialize_class,
 )
 
@@ -116,6 +117,20 @@ def test_parse_class_example():
 def test_parse_class_skips_comments_and_blank_lines():
     k = parse_class("# half-intervals\nn=2\n\n00\n# middle\n10\n")
     assert k.masks == (0, 1)
+
+
+def test_content_lines_in_blocks_are_those_of_splitlines(monkeypatch):
+    # a block ends just after a "\n", so no line boundary ("\r\n" included)
+    # straddles two blocks, however short they are
+    rng = random.Random(17)
+    alphabet = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                " ", "#", "0", "1"]
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        want = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), 1)
+                if raw.strip() and not raw.strip().startswith("#")]
+        monkeypatch.setattr(concepts, "_BLOCK", rng.randint(1, 6))
+        assert list(concepts._content_lines(text)) == want, text
 
 
 @pytest.mark.parametrize("text", [

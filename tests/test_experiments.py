@@ -181,13 +181,16 @@ def test_verify_dim1_rejects_n_below_1(n):
 
 
 # every (n, d, size) that verify_dim1 and max_class_search enumerate at n <= 4,
-# plus neighbouring sizes at order 1 and the order-2 sizes 14-16 over [4]
-@pytest.mark.parametrize("n, d, size", [(1, 1, 2), (2, 1, 4), (3, 1, 6), (4, 1, 7), (4, 1, 8),
-                                        (4, 1, 9), (4, 2, 14), (4, 2, 15), (4, 2, 16)])
+# plus neighbouring sizes at order 1, the order-2 sizes 13-16 and the power set
+# at order 3 over [4], and every size at every order over [3], so that the
+# scan's size filter and the orbit walk meet every popcount
+@pytest.mark.parametrize("n, d, size", [(1, 1, 2), (2, 1, 4), (4, 1, 7), (4, 1, 8), (4, 1, 9),
+                                        (4, 2, 13), (4, 2, 14), (4, 2, 15), (4, 2, 16), (4, 3, 16)]
+                         + [(3, d, size) for d in (1, 2, 3) for size in range(1, 9)])
 def test_decided_classes_match_a_decision_per_class(n, d, size):
     plain = [(combo, experiments.decide_order(list(combo), n, d) is not None)
              for combo in itertools.combinations(range(1 << n), size)]
-    decided = experiments._decided_classes(n, d, size, experiments._perm_tables(n))
+    decided = experiments._decided_classes(n, d, size)
     assert decided == (len(plain), [c for c, ok in plain if ok])
 
 

@@ -9,11 +9,13 @@ recover_tournament inverts the construction.
 import itertools
 import random
 import time
+import tracemalloc
 from math import comb
 
 import pytest
 
 from teachlab import (
+    BudgetError,
     ConceptClass,
     FormatError,
     NCTeacher,
@@ -32,6 +34,7 @@ from teachlab import (
     serialize_class,
     serialize_tournament,
     stream_bit,
+    budget,
     tournaments,
 )
 
@@ -224,6 +227,28 @@ def test_parse_and_recover_take_a_few_serializations():
     unit = serialized - start
     assert parsed - serialized < 7 * unit
     assert recovered - parsed < 5 * unit
+
+
+def test_codecs_hold_about_one_text_in_memory():
+    # the writer joins each row of pairs into one string at once, and the
+    # reader splits the text into lines a block at a time.  Building every
+    # line string first peaked at 10x the text to write 499,500 pairs and at
+    # 8x the text before the reader's first budget read
+    g = random_tournament(1000, 5)
+    tracemalloc.start()
+    try:
+        text = serialize_tournament(g)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]  # the text itself
+        with pytest.raises(BudgetError, match="tournament reader"), budget(0):
+            parse_tournament(text)
+        read = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + comb(1000, 2)
+    assert written < 3 * len(text)
+    assert read < len(text)
 
 
 def test_every_admissible_singleton_teacher_recovers_some_tournament():
