@@ -29,6 +29,19 @@ that branch.  This keeps the value, as S_n acts transitively on the k-sets
 and keeps every (k+1)-set count, so some maximum family contains vertex 0.
 It keeps the witness, as the include-vertex-0 subtree comes first in DFS
 order, so the first leaf of the best size lies in it.
+
+A second cut, a first step of orbital branching (Ostrowski, Linderoth,
+Rossi and Smriglio, Math. Prog. 2011), follows when the search backtracks
+out of vertex 1 ({1..k-1, k+1}) with vertex 0 alone left on its path: from
+then on it excludes every neighbour of vertex 0 as well.  The stabiliser
+of {1..k} in S_n acts transitively on those k(n-k) neighbours, so a family
+that holds vertex 0 and a neighbour N has an image of the same size that
+holds vertex 0 and vertex 1, and the include-vertex-1 subtree has already
+seen it: no family strictly larger than the best found by then holds N.
+As only a strictly larger family becomes a new best, the first leaf of the
+best size, the colex-least witness, is the same.  The cut points the
+neighbours' getters at one shared getter of a counter pinned at t, so the
+skip loop passes over them with no test of its own.
 """
 
 from __future__ import annotations
@@ -208,6 +221,11 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     The search stops where it would exclude vertex 0 ({1..k}).  By symmetry
     some maximum family contains vertex 0, and the DFS visits the subtree
     that includes it first, so the colex-least maximum lies there too.
+    Once it leaves vertex 1 ({1..k-1, k+1}) with only vertex 0 on its path,
+    it excludes every other neighbour of vertex 0 too: the stabiliser of
+    {1..k} maps any of them onto vertex 1, whose subtree is done, so no
+    family holding one beats the best found, and the first leaf of the best
+    size, the witness, stays where it was.
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -245,6 +263,8 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
         # t * C(n, k+1) counter units, so depth plus the units left over n-k
         # stays upper0 or more, and it serves only to stop at upper0
         counts = [0] * nds
+        counts.append(t)  # pinned at t: a vertex whose getter reads it is blocked for good
+        blocked = itemgetter(nds, nds)
         path: list[int] = []
         best = idx = 0
         lim = nv
@@ -265,9 +285,18 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
                 witness = [verts[i] for i in path]
                 if best >= upper0:
                     break
-            # pruned node or leaf: exclude the last vertex included, unless it is vertex 0
-            if len(path) <= 1:
-                break
+            # pruned node or leaf: exclude the last vertex included, unless it is
+            # vertex 0; on leaving vertex 1 (path [0, 1]), exclude every
+            # neighbour of vertex 0 too.  {1..k} minus the point k - r plus
+            # the point j + 1 > k has colex index C(j, k) + r
+            if len(path) <= 2:
+                if len(path) <= 1:
+                    break
+                if path[1] == 1:
+                    for j in range(k, n):
+                        low = comb(j, k)
+                        for i in range(low, low + k):
+                            reads[i] = blocked
             step()
             idx = path.pop()
             for di in vds[idx]:

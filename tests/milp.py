@@ -52,3 +52,26 @@ def order_feasible(masks, n: int, d: int) -> bool:
     if res.status not in (0, 2):
         raise RuntimeError(f"milp ended with status {res.status}: {res.message}")
     return res.status == 0
+
+
+def h_max_size(n: int, k: int, t: int) -> int:
+    """H_t(n, k): the most k-subsets of [n] with at most t of them in any (k+1)-subset.
+
+    One binary x[A] per k-set A; maximise sum_A x[A] subject to
+    sum_{A inside D} x[A] <= t for every (k+1)-set D.
+    """
+    col = {a: j for j, a in enumerate(combinations(range(n), k))}
+    dsets = list(combinations(range(n), k + 1))
+    a = np.zeros((len(dsets), len(col)))
+    for r, d in enumerate(dsets):
+        a[r, [col[s] for s in combinations(d, k)]] = 1
+    res = optimize.milp(
+        -np.ones(len(col)),
+        constraints=optimize.LinearConstraint(a, 0, t),
+        integrality=np.ones(len(col)),
+        bounds=optimize.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"milp ended with status {res.status}: {res.message}")
+    return round(-res.fun)

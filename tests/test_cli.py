@@ -250,6 +250,19 @@ def test_tournament_gen_to_a_file_lists_no_edges(tmp_path):
     assert peak < 4 * out.stat().st_size
 
 
+def test_tournament_gen_to_stdout_makes_no_string_per_edge():
+    # the text goes out as one line: splitting it into its 244,650 edge lines
+    # first peaked at 9.7x the text
+    tracemalloc.start()
+    try:
+        outcome = dispatch(["tournament", "gen", "--n", "700", "--seed", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.code == EXIT_OK
+    assert peak < 4 * len(outcome.text)
+
+
 def test_tournament_gen_negative_seed_golden(tmp_path, capsys):
     # recorded by the per-pair generator; pins a negative seed through the lane-parallel one
     want = golden("tournament_n40_s-5.trn")
@@ -581,6 +594,15 @@ def test_import_does_not_load_multiprocessing():
              " if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert r.stdout.strip() == "[]"
+
+
+def test_handlers_load_on_the_first_command():
+    # importing the front end alone compiles no parser or handler
+    probe = ("import sys, teachlab.cli; loaded = 'teachlab.commands' in sys.modules; "
+             "teachlab.cli.dispatch(['bounds', '--n', '4', '--d', '2']); "
+             "print(loaded, 'teachlab.commands' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert r.stdout.split() == ["False", "True"]
 
 
 def test_console_entry_point_runs():

@@ -32,6 +32,7 @@ from teachlab import (
     restrict_family,
     serialize_family,
 )
+from teachlab import johnson
 
 from oracles import brute_h_max, brute_h_witness
 
@@ -227,6 +228,39 @@ def test_h_max_matches_bruteforce():
                 res = h_max(n, k, t)
                 assert res.status == "exact"
                 assert res.size == brute_h_max(n, k, t), (n, k, t)
+
+
+def test_h_max_matches_the_milp():
+    # an independent formulation (HiGHS through scipy) past the brute force's reach
+    from milp import h_max_size
+    cases = [(n, k, t) for n in range(2, 8) for k in range(1, n) for t in range(1, k + 1)]
+    for n, k, t in cases + [(8, 2, 2)]:
+        assert _h_max(n, k, t).size == h_max_size(n, k, t), (n, k, t)
+
+
+def test_h_max_backtracks_with_the_vertex_1_cut(monkeypatch):
+    # each backtrack is a step of the search's meter, the one made with
+    # first=True; before the cut at vertex 1 these were 660,050, 3,182,455
+    # and 16,947
+    backtracks = 0
+    steps = johnson._steps
+
+    def counted_steps(what, bits=0, first=True):
+        step = steps(what, bits, first)
+        if not first:
+            return step
+
+        def counted():
+            nonlocal backtracks
+            backtracks += 1
+            step()
+        return counted
+
+    monkeypatch.setattr(johnson, "_steps", counted_steps)
+    for case, want in (((7, 3, 2), 149_117), ((7, 3, 3), 1_504_443), ((8, 2, 2), 5_648)):
+        backtracks = 0
+        assert h_max(*case).status == "exact"
+        assert backtracks == want, case
 
 
 def test_h_max_rejects_bad_parameters():
