@@ -42,6 +42,23 @@ As only a strictly larger family becomes a new best, the first leaf of the
 best size, the colex-least witness, is the same.  The cut points the
 neighbours' getters at one shared getter of a counter pinned at t, so the
 skip loop passes over them with no test of its own.
+
+A third cut runs the same argument down the first path.  In colex order
+vertices 0..k are the k-subsets of [k+1], vertex i being [k+1] minus
+{k+1-i}.  When the search backtracks out of a vertex j >= 2 with path
+[0, 1, ..., j-1], it excludes vertices j+1..k for the rest of the run.  Let
+R = {k+2-j, ..., k+1}, the points that the path's members miss.  The
+path's stabiliser Sym([k+1] minus R) x Sym(R) x Sym([n] minus [k+1])
+keeps every (k+1)-set count and the path, and maps vertex j onto each of
+vertices j+1..k, so a family that holds the path and one of them has an
+image of the same size that holds the path and vertex j, whose subtree is
+done: as before, no family strictly larger than the best found holds one,
+and the value and the witness stay.  The families searched later that
+miss part of the path lie under the next backtrack on the first path, out
+of vertex j-1, whose cut excludes a superset; the last is the cut at
+vertex 1.  So nothing is ever unblocked.  A path [0..j] lies in [k+1], so
+the cut bites only when 2 <= j < t: at t = 2 the count of [k+1] already
+blocks vertices 2..k.
 """
 
 from __future__ import annotations
@@ -225,7 +242,12 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     it excludes every other neighbour of vertex 0 too: the stabiliser of
     {1..k} maps any of them onto vertex 1, whose subtree is done, so no
     family holding one beats the best found, and the first leaf of the best
-    size, the witness, stays where it was.
+    size, the witness, stays where it was.  Likewise, once it leaves a
+    vertex j >= 2 of [k+1] ([k+1] minus {k+1-j}) with path [0..j-1], it
+    excludes vertices j+1..k, the rest of [k+1]'s k-sets: the stabiliser of
+    the path, Sym([k+1] minus R) x Sym(R) x Sym([n] minus [k+1]) with
+    R = {k+2-j, ..., k+1}, maps vertex j onto each of them.  That cut
+    bites only when t >= 3.
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -286,21 +308,23 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
                 if best >= upper0:
                     break
             # pruned node or leaf: exclude the last vertex included, unless it is
-            # vertex 0; on leaving vertex 1 (path [0, 1]), exclude every
-            # neighbour of vertex 0 too.  {1..k} minus the point k - r plus
-            # the point j + 1 > k has colex index C(j, k) + r
-            if len(path) <= 2:
-                if len(path) <= 1:
-                    break
-                if path[1] == 1:
-                    for j in range(k, n):
-                        low = comb(j, k)
-                        for i in range(low, low + k):
-                            reads[i] = blocked
+            # vertex 0.  On leaving a vertex j <= k with path [0..j-1], exclude
+            # vertices j+1..k too, or at j = 1 every neighbour of vertex 0:
+            # {1..k} minus the point k - r plus the point i + 1 > k has colex
+            # index C(i, k) + r
+            if len(path) <= 1:
+                break
             step()
             idx = path.pop()
             for di in vds[idx]:
                 counts[di] -= 1
+            if idx <= k and idx == len(path):
+                if idx == 1:
+                    for i in range(k, n):
+                        low = comb(i, k)
+                        reads[low:low + k] = [blocked] * k
+                else:
+                    reads[idx + 1:k + 1] = [blocked] * (k - idx)
             idx += 1
             lim -= 1  # a leaf has just set best = depth, or a prune found depth <= best
     except BudgetError:

@@ -26,6 +26,7 @@ setting one bit at a time in a growing int copies it once per pair.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -85,7 +86,7 @@ class Tournament:
                 yield (i, j) if ch == _ONE else (j, i)
 
 
-_ONE = ord("1")
+_ZERO, _ONE = ord("0"), ord("1")
 _FLIP = bytes.maketrans(b"01", b"10")
 
 
@@ -210,13 +211,20 @@ def serialize_tournament(g: Tournament) -> str:
 def parse_tournament(text: str) -> Tournament:
     """Parse the tournament file format: exactly C(n,2) directed edges, one per pair.
 
-    Each edge line is a step of the search budget (errors).
+    Each edge line is a step of the search budget (errors).  The reader
+    holds one byte per pair, '0' or '1' once a line orients it, and sizes
+    that array only when the text is long enough to list every pair.
     """
     step = _steps("tournament reader")
     lines = _content_lines(text)
     (n,) = _read_header(lines, "n")
-    seen: set[int] = set()
-    ones: list[int] = []
+    total = comb(n, 2)
+    # an edge line takes at least 4 characters with its line break, so a text
+    # shorter than C(n,2) cannot list every pair: the header's n alone never
+    # sizes the array, and such a text keeps the ranks it lists in a dict
+    # until the edge count fails
+    ranked = bytearray(total) if total <= len(text) else defaultdict(int)
+    got = 0
     for lineno, line in lines:
         step()
         parts = line.split()
@@ -230,15 +238,10 @@ def parse_tournament(text: str) -> Tournament:
             raise FormatError(f"line {lineno}: need two distinct players in 1..{n}")
         i, j = (a, b) if a < b else (b, a)
         r = pair_rank(n, i, j)
-        if r in seen:
+        if ranked[r]:
             raise FormatError(f"line {lineno}: pair {{{i}, {j}}} oriented twice")
-        seen.add(r)
-        if a < b:
-            ones.append(r)
-    if len(seen) != comb(n, 2):
-        raise FormatError(f"expected {comb(n, 2)} edges, got {len(seen)}")
-    # sized only now, as the header's n alone does not bound the file
-    ranked = bytearray(b"0") * len(seen)
-    for r in ones:
-        ranked[r] = _ONE
+        ranked[r] = _ONE if a < b else _ZERO
+        got += 1
+    if got != total:
+        raise FormatError(f"expected {total} edges, got {got}")
     return Tournament(n, int(ranked[::-1] or b"0", 2))

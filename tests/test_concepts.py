@@ -177,6 +177,8 @@ def _family_over_4(text):
     (parse_tournament, "n=0\n", "line 1:"),
     (parse_tournament, "n=3\n1 2 3\n", "line 2:"),
     (parse_tournament, "n=3\n1 a\n", "line 2:"),
+    (parse_tournament, "n=9\n1 2\n2 1\n", "line 3:"),  # too short to list all 36 pairs
+    (parse_tournament, "n=100000000\n1 2\n", ""),
     (_family_over_4, "1 2\n1\n", "line 2:"),
     (_family_over_4, "1 1\n", "line 1:"),
     (_family_over_4, "1 9\n", "line 1:"),

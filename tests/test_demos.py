@@ -1,7 +1,7 @@
 """The narrated demos run to completion against this checkout's sources.
 
-Each runs in under 1.5 s on 2 vCPUs (Python 3.11.7): demo 02 takes 1.4 s and
-demo 04 1.0 s, about 0.8 s of it in h_max(7, 3, 3).
+Each runs in under 2 s on 2 vCPUs (Python 3.11.7): demo 02 takes 1.5-1.7 s
+and demo 04 0.9-1.0 s, about 0.65 s of it in h_max(7, 3, 3).
 """
 
 import os

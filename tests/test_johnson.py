@@ -146,7 +146,9 @@ def test_h_max_frozen_values():
 
 # SHA-256 of status, size, lower, upper and witness masks of h_max(n, k, t)
 # for every n <= 7 and for (8, 2, 2), recorded from the search that still
-# took vertex 0's exclude branch: the cut there changes none of them
+# took vertex 0's exclude branch: neither that cut nor the later symmetry
+# cuts (at vertex 1, and on leaving vertex j >= 2 with path [0..j-1])
+# change any of them
 H_MAX_DIGEST = "cba610b1de72a4c9a8a058d64d834ef3d2401555b893c3a60ad2c5ca3b2d27b5"
 
 
@@ -238,10 +240,12 @@ def test_h_max_matches_the_milp():
         assert _h_max(n, k, t).size == h_max_size(n, k, t), (n, k, t)
 
 
-def test_h_max_backtracks_with_the_vertex_1_cut(monkeypatch):
+def test_h_max_backtracks_with_the_symmetry_cuts(monkeypatch):
     # each backtrack is a step of the search's meter, the one made with
-    # first=True; before the cut at vertex 1 these were 660,050, 3,182,455
-    # and 16,947
+    # first=True.  Before the cut at vertex 1 (7,3,2), (7,3,3) and (8,2,2)
+    # took 660,050, 3,182,455 and 16,947; before the cut on leaving vertex
+    # j >= 2 with path [0..j-1], (7,3,3) took 1,504,443 and (6,3,3) 1,164.
+    # That cut fires only at t >= 3, so the t = 2 rows stay as they were
     backtracks = 0
     steps = johnson._steps
 
@@ -257,7 +261,8 @@ def test_h_max_backtracks_with_the_vertex_1_cut(monkeypatch):
         return counted
 
     monkeypatch.setattr(johnson, "_steps", counted_steps)
-    for case, want in (((7, 3, 2), 149_117), ((7, 3, 3), 1_504_443), ((8, 2, 2), 5_648)):
+    for case, want in (((7, 3, 2), 149_117), ((7, 3, 3), 956_553), ((6, 3, 3), 734),
+                       ((8, 2, 2), 5_648)):
         backtracks = 0
         assert h_max(*case).status == "exact"
         assert backtracks == want, case

@@ -231,9 +231,10 @@ def test_parse_and_recover_take_a_few_serializations():
 
 def test_codecs_hold_about_one_text_in_memory():
     # the writer joins each row of pairs into one string at once, and the
-    # reader splits the text into lines a block at a time.  Building every
-    # line string first peaked at 10x the text to write 499,500 pairs and at
-    # 8x the text before the reader's first budget read
+    # reader splits the text into lines a block at a time and keeps one byte
+    # per pair.  Building every line string first peaked at 10x the text to
+    # write 499,500 pairs and at 8x the text before the reader's first budget
+    # read; a set of every pair rank peaked at 9.5x the text over a full read
     g = random_tournament(1000, 5)
     tracemalloc.start()
     try:
@@ -244,11 +245,16 @@ def test_codecs_hold_about_one_text_in_memory():
         with pytest.raises(BudgetError, match="tournament reader"), budget(0):
             parse_tournament(text)
         read = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert parse_tournament(text).bits == g.bits
+        parsed = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert text.count("\n") == 1 + comb(1000, 2)
     assert written < 3 * len(text)
     assert read < len(text)
+    assert parsed < len(text)
 
 
 def test_every_admissible_singleton_teacher_recovers_some_tournament():
