@@ -8,9 +8,9 @@ enumerate concept classes directly as subsets of the 2^n concept masks and
 lean on the order-d teacher decision procedure, once per orbit of classes
 under the symmetries of the n-cube (domain permutations and XOR by a
 concept mask), which keep every clash.  Each orbit is walked on the
-2^n-bit class mask alone, by delta swaps.  Maximum witnesses are reported
-as canonical forms under domain permutation, read from tables of concept
-images under each permutation.
+2^n-bit class mask alone, by delta swaps, and the permutation swaps of
+that walk also give the maximum witnesses: canonical forms under domain
+permutation.
 
 The threshold and claim arithmetic uses base-2 logarithms throughout.
 Binomials are exact integers however large; the only approximate step is
@@ -336,21 +336,6 @@ class Dim1Report:
         return self.passing == self.expected
 
 
-def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << perm[low.bit_length() - 1]
-    return out
-
-
-def _perm_tables(n: int) -> list[list[int]]:
-    """Per permutation of the instances of [n], the identity first: the image of each concept."""
-    return [[_apply_perm(c, perm) for c in range(1 << n)]
-            for perm in itertools.permutations(range(n))]
-
-
 def _plain_changes(n: int) -> list[int]:
     """The Steinhaus-Johnson-Trotter order of S_n as n! - 1 adjacent transpositions.
 
@@ -473,11 +458,6 @@ def verify_dim1(n: int) -> Dim1Report:
     return Dim1Report(n, candidates, passing, expected, closed)
 
 
-def _canonical_class(masks: tuple[int, ...], tables: list[list[int]]) -> tuple[int, ...]:
-    """Least image of the class under all domain permutations (_perm_tables)."""
-    return min(tuple(sorted(map(table.__getitem__, masks))) for table in tables)
-
-
 @dataclass(frozen=True)
 class MaxClassResult:
     """Largest class size admitting an order-d teacher, with canonical witnesses."""
@@ -501,11 +481,20 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     whose delta swaps on the mask reach every image: at (4, 1) the 12,870
     classes of size 8 need 74 calls to decide_order (about 4.5 ms in all on
     Python 3.11, 2 vCPUs), and the power set, when the bound allows it,
-    needs one.  Canonical witnesses are the least images under the domain
-    permutations, read from _perm_tables, which only they use.  Past n = 4,
-    where the verdict table would take 4 GiB, a greedy witness (each concept
-    in turn, kept when the class stays admissible) and the counting upper
-    bound are reported; a greedy that takes every concept is exact.
+    needs one.  Past n = 4, where the verdict table would take 4 GiB, a
+    greedy witness (each concept in turn, kept when the class stays
+    admissible) and the counting upper bound are reported; a greedy that
+    takes every concept is exact.
+
+    A canonical witness is the lexicographically least sorted image of a
+    maximum class under the n! domain permutations, which the turns of
+    _cube_walk(n) visit.  Complementing every concept, c -> full ^ c,
+    reverses the class mask and commutes with each permutation, which fixes
+    full.  Of two classes of one size, the lexicographically smaller holds
+    the least concept of their symmetric difference, so its complement holds
+    the greatest and has the larger mask.  So the least image is the
+    complement of the largest turn image of the complemented class, and each
+    image is ranked as one integer.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -522,9 +511,19 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     for size in range(upper, 0, -1):
         _, passing = _decided_classes(n, d, size)
         if passing:
-            tables = _perm_tables(n)
-            canon = sorted({_canonical_class(c, tables) for c in passing})
-            witnesses = tuple(ConceptClass.from_masks(c, n) for c in canon)
+            full, turns = (1 << n) - 1, _cube_walk(n)[2]
+            keys = set()
+            for cls in passing:
+                image = key = sum(1 << (full ^ c) for c in cls)
+                for shift, mask in turns:
+                    t = (image ^ image >> shift) & mask
+                    image ^= t ^ t << shift
+                    key = max(key, image)
+                keys.add(key)
+            # complemented back, concepts ascending: the largest key is the least class
+            witnesses = tuple(
+                ConceptClass.from_masks([full ^ c for c in range(full, -1, -1) if key >> c & 1], n)
+                for key in sorted(keys, reverse=True))
             return MaxClassResult(n, d, "exact", size, witnesses, size, size)
     raise AssertionError("a single concept always passes")
 

@@ -103,12 +103,12 @@ def _rows(g: Tournament) -> list[bytes]:
 
 def linear_tournament(n: int) -> Tournament:
     """Edge (i, j) for every i < j: players in index order."""
-    return Tournament(n, (1 << comb(n, 2)) - 1)
+    return Tournament(n, (1 << comb(max(n, 0), 2)) - 1)  # Tournament refuses n < 1
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair's orientation from its own stream: bit = stream_bit(seed, rank)."""
-    return Tournament(n, stream_bits(seed, comb(n, 2)))
+    return Tournament(n, stream_bits(seed, comb(max(n, 0), 2)))  # Tournament refuses n < 1
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:

@@ -8,6 +8,7 @@ at sizes where exhaustive enumeration is instant.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
@@ -121,6 +122,17 @@ def brute_h_witness(n: int, k: int, t: int) -> tuple[int, ...]:
         if found is not None:
             return found
     raise AssertionError("a single k-set is always a valid family")
+
+
+def permuted(mask: int, perm: Sequence[int]) -> int:
+    """The concept holding instance perm[x] + 1 exactly where mask holds x + 1."""
+    return sum(1 << p for x, p in enumerate(perm) if mask >> x & 1)
+
+
+def least_image(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """Lexicographically least sorted image of a class under every permutation of [n]."""
+    return min(tuple(sorted(permuted(c, perm) for c in masks))
+               for perm in itertools.permutations(range(n)))
 
 
 def binomial_tail(p: Fraction, m: int, threshold: Fraction) -> Fraction:

@@ -35,7 +35,7 @@ from teachlab import (
     verify_dim1,
 )
 
-from oracles import brute_nctd, pattern_unique_exists
+from oracles import brute_nctd, least_image, pattern_unique_exists, permuted
 
 
 def test_threshold_k_frozen_value():
@@ -221,7 +221,7 @@ def test_permuting_and_translating_a_class_keeps_its_nctd():
             perm = list(range(n))
             rng.shuffle(perm)
             v = rng.randrange(1 << n)
-            moved = [experiments._apply_perm(c, tuple(perm)) ^ v for c in masks]
+            moved = [permuted(c, perm) ^ v for c in masks]
             assert brute_nctd(moved, n) == least
             for d in range(n + 1):
                 assert (experiments.decide_order(moved, n, d) is None) == (least > d)
@@ -263,6 +263,19 @@ def test_enumeration_outputs_match_recorded_digest():
                         [list(w.masks) for w in res.witnesses]])
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "525714fc476e9a5e8536b25dbbb72cb5ea9906739346a76ba88c04f554e5c759"
+
+
+def test_max_class_witnesses_are_the_least_images_of_the_maximum_classes():
+    # a witness is the lexicographically least sorted image of a maximum class
+    # under the domain permutations, each permutation applied here concept by
+    # concept, and every maximum class has its least image among them
+    for n in range(1, 5):
+        for d in range(1, n + 1):
+            result = max_class_search(n, d)
+            witnesses = [w.masks for w in result.witnesses]
+            assert all(least_image(w, n) == w for w in witnesses)
+            _, maximum = experiments._decided_classes(n, d, result.size)
+            assert sorted({least_image(c, n) for c in maximum}) == witnesses
 
 
 def test_max_class_search_dim1_matches_2n():
