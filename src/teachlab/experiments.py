@@ -528,8 +528,11 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     raise AssertionError("a single concept always passes")
 
 
-def _wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    p = hits / trials
+_Z95 = 1.959963984540054  # the standard normal's 97.5% quantile: a 95% interval
+
+
+def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    p, z = hits / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom

@@ -5,7 +5,9 @@ players that beat j, so j is never in C_j and always in its complement.
 The 2n concepts {C_j} and {complement of C_j} admit the order-1 no-clash
 teacher assigning {j} to both concepts derived from player j, and
 conversely an admissible order-1 teacher on a 2n-concept class pins the
-orientation of every pair, which recover_tournament implements.
+orientation of every pair.  recover_tournament reads that orientation off
+the teacher, and its one check, that the rebuilt tournament induces every
+concept as its teacher says, is the admissibility test.
 
 Orientations are packed one bit per pair in row-major upper-triangle order.
 Random tournaments draw each pair's bit from its own SplitMix64 stream
@@ -33,7 +35,7 @@ from typing import Iterator
 
 from .concepts import ConceptClass, _content_lines, _read_header
 from .errors import FormatError, PropertyViolation, _steps
-from .ncteach import NCTeacher, is_nc_teacher
+from .ncteach import NCTeacher
 from .rng import stream_bits
 
 __all__ = [
@@ -113,7 +115,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
     """All 2^C(n,2) tournaments on [n]."""
-    for bits in range(1 << comb(n, 2)):
+    for bits in range(1 << comb(max(n, 0), 2)):  # Tournament refuses n < 1
         yield Tournament(n, bits)
 
 
@@ -161,10 +163,23 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
     """Rebuild the tournament from a 2n-concept class and an admissible order-1 teacher.
 
     C_x is the concept that {x} teaches without x, and edge (i, j) is
-    present exactly when j is not in C_i.  One check then confirms the
-    result: every concept must be C_x or its complement in the recovered
+    present exactly when j is not in C_i.  One check then accepts the
+    teacher: every concept must be C_x or its complement in the rebuilt
     tournament, for the x that teaches it.  As the class has 2n distinct
-    concepts, that holds exactly when the tournament induces the class.
+    concepts and every teaching set is a single instance, that check passes
+    exactly when the teacher is admissible (no two concepts clash):
+
+    - If it passes, each x teaches at most the 2 distinct concepts C_x and
+      its complement; 2n concepts over n players make it exactly those 2.
+      The teacher is then the rebuilt tournament's canonical teacher, which
+      is admissible.
+    - If the teacher is admissible, a single instance teaches at most 2
+      concepts, which differ on it; 2n concepts over n players make each x
+      teach one concept without x (C_x) and one with x (D_x).  For x != y
+      the four no-clash conditions on C_x, D_x, C_y and D_y leave two
+      cases: y in C_x, x not in C_y, y not in D_x and x in D_y, or the
+      reverse.  So D_x is the complement of C_x, and exactly one of y in
+      C_x, x in C_y holds, orienting {x, y} as the rebuilt tournament does.
     """
     n = k.n
     if t.k.n != n or t.k.masks != k.masks:
@@ -174,8 +189,6 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
             f"class has {len(k)} concepts; an NC-maximum dimension-1 class over [{n}] has {2 * n}")
     if any(len(s) != 1 for s in t.sets):
         raise PropertyViolation("every teaching set must be a single instance")
-    if not is_nc_teacher(t):
-        raise PropertyViolation("teacher admits a clash")
     taught = [(m, x) for m, (x,) in zip(k.masks, t.sets)]
     c_of = {x: m for m, x in taught if not m >> (x - 1) & 1}
     full = (1 << n) - 1
@@ -186,7 +199,7 @@ def recover_tournament(k: ConceptClass, t: NCTeacher) -> Tournament:
     winners = _winner_masks(g)
     for m, x in taught:
         if m != winners[x - 1] and m != full ^ winners[x - 1]:
-            raise PropertyViolation("recovered tournament does not induce the given class")
+            raise PropertyViolation("teacher admits a clash")
     return g
 
 

@@ -210,8 +210,8 @@ def test_h_max_matches_the_matching_number():
 
 def test_h_max_matches_the_pair_packing_number():
     # k = 3, t = 1: no two triples share a pair; the packing number D(n, 3, 2)
-    # (Schonheim 1966, Spencer 1968)
-    for n in range(4, 9):
+    # (Schonheim 1966, Spencer 1968); D(9, 3, 2) = 12
+    for n in range(4, 10):
         want = n * ((n - 1) // 2) // 3 - (n % 6 == 5)
         assert h_max(n, 3, 1).size == want, n
 
