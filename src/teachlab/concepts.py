@@ -198,6 +198,9 @@ def _read_header(lines: Iterator[tuple[int, str]], *keys: str) -> list[int]:
     return values
 
 
+_NON_BITS = str.maketrans("", "", "01")
+
+
 def _decode_bits(text: str, n: int | None = None, where: str = "") -> int:
     """Mask of a 0/1 string whose j-th character (1-based, from the left) labels instance j.
 
@@ -209,7 +212,7 @@ def _decode_bits(text: str, n: int | None = None, where: str = "") -> int:
         raise FormatError(f"{where}expected {n} characters, got {len(text)}")
     if not text:
         raise FormatError(f"{where}empty concept string")
-    bad = text.lstrip("01")
+    bad = text.translate(_NON_BITS)
     if bad:
         raise FormatError(f"{where}invalid character {bad[0]!r} in concept string")
     return int(text[::-1], 2)

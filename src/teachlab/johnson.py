@@ -30,18 +30,21 @@ and keeps every (k+1)-set count, so some maximum family contains vertex 0.
 It keeps the witness, as the include-vertex-0 subtree comes first in DFS
 order, so the first leaf of the best size lies in it.
 
-A second cut, a first step of orbital branching (Ostrowski, Linderoth,
-Rossi and Smriglio, Math. Prog. 2011), follows when the search backtracks
-out of vertex 1 ({1..k-1, k+1}) with vertex 0 alone left on its path: from
-then on it excludes every neighbour of vertex 0 as well.  The stabiliser
-of {1..k} in S_n acts transitively on those k(n-k) neighbours, so a family
-that holds vertex 0 and a neighbour N has an image of the same size that
-holds vertex 0 and vertex 1, and the include-vertex-1 subtree has already
-seen it: no family strictly larger than the best found by then holds N.
-As only a strictly larger family becomes a new best, the first leaf of the
-best size, the colex-least witness, is the same.  The cut points the
-neighbours' getters at one shared getter of a counter pinned at t, so the
-skip loop passes over them with no test of its own.
+A second cut is orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Prog. 2011) at vertex 0's children.  Once the search
+backtracks out of a vertex u with path [0], it excludes every later vertex
+that meets {1..k} in as many points as u: u's orbit under the stabiliser
+of vertex 0, Sym([k]) x Sym([n] minus [k]), which keeps every (k+1)-set
+count.  The orbits' colex-first members, [r] plus {k+1..2k-r} for r points
+in [k], come in order of falling r, so u is its orbit's first member and
+all that is excluded by then, by this cut or by the counts, is a union of
+whole orbits.  So a family holding vertex 0 and a later w in u's orbit has
+an image of the same size holding vertex 0 and u and avoiding the same
+vertices, which the include-u subtree has seen: no family strictly larger
+than the best found then holds w.  As only a strictly larger family
+becomes a new best, the first leaf of the best size, the colex-least
+witness, stays.  The cut points the orbit's getters at one shared getter
+of a counter pinned at t, so the skip loop passes them with no test.
 
 A third cut runs the same argument down the first path.  In colex order
 vertices 0..k are the k-subsets of [k+1], vertex i being [k+1] minus
@@ -55,7 +58,7 @@ image of the same size that holds the path and vertex j, whose subtree is
 done: as before, no family strictly larger than the best found holds one,
 and the value and the witness stay.  The families searched later that
 miss part of the path lie under the next backtrack on the first path, out
-of vertex j-1, whose cut excludes a superset; the last is the cut at
+of vertex j-1, whose cut excludes a superset; the last is the orbit cut at
 vertex 1.  So nothing is ever unblocked.  A path [0..j] lies in [k+1], so
 the cut bites only when 2 <= j < t: at t = 2 the count of [k+1] already
 blocks vertices 2..k.
@@ -238,16 +241,13 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
     The search stops where it would exclude vertex 0 ({1..k}).  By symmetry
     some maximum family contains vertex 0, and the DFS visits the subtree
     that includes it first, so the colex-least maximum lies there too.
-    Once it leaves vertex 1 ({1..k-1, k+1}) with only vertex 0 on its path,
-    it excludes every other neighbour of vertex 0 too: the stabiliser of
-    {1..k} maps any of them onto vertex 1, whose subtree is done, so no
-    family holding one beats the best found, and the first leaf of the best
-    size, the witness, stays where it was.  Likewise, once it leaves a
-    vertex j >= 2 of [k+1] ([k+1] minus {k+1-j}) with path [0..j-1], it
-    excludes vertices j+1..k, the rest of [k+1]'s k-sets: the stabiliser of
-    the path, Sym([k+1] minus R) x Sym(R) x Sym([n] minus [k+1]) with
-    R = {k+2-j, ..., k+1}, maps vertex j onto each of them.  That cut
-    bites only when t >= 3.
+    Once it leaves a vertex u with path [0], it excludes the later vertices
+    that meet {1..k} in as many points as u, the rest of u's orbit under
+    the stabiliser of {1..k}; once it leaves a vertex j >= 2 of [k+1] with
+    path [0..j-1], it excludes vertices j+1..k, the images of j under the
+    path's stabiliser (a cut that bites only when t >= 3).  Either cut
+    drops only families whose image of the same size u's or j's subtree
+    has seen, so the value and the witness stay (see the module docstring).
     """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -302,29 +302,29 @@ def h_max(n: int, k: int, t: int) -> HMaxResult:
                 if lim < nv:
                     lim += 1
                 continue
-            if len(path) > best:  # idx = nv: a leaf
-                best = len(path)
+            depth = len(path)
+            if depth > best:  # idx = nv: a leaf
+                best = depth
                 witness = [verts[i] for i in path]
                 if best >= upper0:
                     break
             # pruned node or leaf: exclude the last vertex included, unless it is
-            # vertex 0.  On leaving a vertex j <= k with path [0..j-1], exclude
-            # vertices j+1..k too, or at j = 1 every neighbour of vertex 0:
-            # {1..k} minus the point k - r plus the point i + 1 > k has colex
-            # index C(i, k) + r
-            if len(path) <= 1:
+            # vertex 0.  On leaving u with path [0], exclude the rest of u's
+            # orbit; on leaving a vertex j <= k with path [0..j-1], j >= 2,
+            # exclude vertices j+1..k
+            if depth <= 1:
                 break
             step()
             idx = path.pop()
             for di in vds[idx]:
                 counts[di] -= 1
-            if idx <= k and idx == len(path):
-                if idx == 1:
-                    for i in range(k, n):
-                        low = comb(i, k)
-                        reads[low:low + k] = [blocked] * k
-                else:
-                    reads[idx + 1:k + 1] = [blocked] * (k - idx)
+            if depth == 2:
+                r = (verts[idx] & verts[0]).bit_count()
+                for i in range(idx + 1, nv):
+                    if (verts[i] & verts[0]).bit_count() == r:
+                        reads[i] = blocked
+            elif idx <= k and idx == depth - 1:
+                reads[idx + 1:k + 1] = [blocked] * (k - idx)
             idx += 1
             lim -= 1  # a leaf has just set best = depth, or a prune found depth <= best
     except BudgetError:

@@ -245,7 +245,10 @@ def test_h_max_backtracks_with_the_symmetry_cuts(monkeypatch):
     # first=True.  Before the cut at vertex 1 (7,3,2), (7,3,3) and (8,2,2)
     # took 660,050, 3,182,455 and 16,947; before the cut on leaving vertex
     # j >= 2 with path [0..j-1], (7,3,3) took 1,504,443 and (6,3,3) 1,164.
-    # That cut fires only at t >= 3, so the t = 2 rows stay as they were
+    # Before the orbit cut at every child of vertex 0 replaced the one at
+    # vertex 1, (7,3,2), (7,3,3), (8,2,2) and (9,3,1) took 149,117, 956,553,
+    # 5,648 and 964,116: at t = 1 the counts block vertex 1, so that cut
+    # never fired
     backtracks = 0
     steps = johnson._steps
 
@@ -261,11 +264,37 @@ def test_h_max_backtracks_with_the_symmetry_cuts(monkeypatch):
         return counted
 
     monkeypatch.setattr(johnson, "_steps", counted_steps)
-    for case, want in (((7, 3, 2), 149_117), ((7, 3, 3), 956_553), ((6, 3, 3), 734),
-                       ((8, 2, 2), 5_648)):
+    for case, want in (((7, 3, 2), 145_918), ((7, 3, 3), 956_517), ((6, 3, 3), 734),
+                       ((8, 2, 2), 5_630), ((9, 3, 1), 106_651)):
         backtracks = 0
         assert h_max(*case).status == "exact"
         assert backtracks == want, case
+
+
+def test_vertex_0_stabiliser_orbits_are_the_intersection_sizes():
+    # the lemma behind h_max's orbit cut, by brute force: under
+    # Sym([k]) x Sym([n] minus [k]) the k-sets meeting [k] in r points form
+    # one orbit, and the orbits' colex-first members come in order of
+    # falling r
+    for n in range(2, 8):
+        for k in range(1, n):
+            ksets = sorted(itertools.combinations(range(1, n + 1), k), key=lambda a: a[::-1])
+            inside, outside = range(1, k + 1), range(k + 1, n + 1)
+            orbits = {}
+            for a in ksets:
+                if any(a in orbit for orbit in orbits.values()):
+                    continue
+                images = set()
+                for p in itertools.permutations(inside):
+                    for q in itertools.permutations(outside):
+                        image = dict(zip(inside, p)) | dict(zip(outside, q))
+                        images.add(tuple(sorted(image[x] for x in a)))
+                orbits[a] = images
+            for first, orbit in orbits.items():
+                r = len(set(first) & set(inside))
+                assert orbit == {a for a in ksets if len(set(a) & set(inside)) == r}
+            sizes = [len(set(first) & set(inside)) for first in orbits]
+            assert sizes == sorted(sizes, reverse=True) == list(range(k, max(0, 2 * k - n) - 1, -1))
 
 
 def test_h_max_rejects_bad_parameters():
