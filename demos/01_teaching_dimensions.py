@@ -52,20 +52,19 @@ print("=" * 64)
 
 # replay the peeling by hand: each round removes every concept whose
 # teaching dimension within the remaining class is minimal
-masks = list(k.masks)
 remaining = k
 round_no = 0
 while len(remaining):
     r = teaching_report(remaining)
     low = r.td_min
-    keep = [c for i, c in enumerate(remaining) if r.sizes[i] > low]
+    keep = [b for b, size in zip(remaining.masks, r.sizes) if size > low]
     peeled = len(remaining) - len(keep)
     round_no += 1
     print(f"  round {round_no}: td_min={low}, peeled {peeled} concepts,"
           f" {len(keep)} left")
     if not keep:
         break
-    remaining = ConceptClass(remaining.n, tuple(keep))
+    remaining = ConceptClass.from_masks(keep, remaining.n)
 
 print(f"  rtd = {rtd(k)} (maximum of the round minima)")
 

@@ -413,12 +413,6 @@ class TeachingReport:
     sizes: tuple[int, ...]
     witnesses: tuple[frozenset[int], ...]
 
-    def size_of(self, c: Concept) -> int:
-        return self.sizes[self.k.index_of(c)]
-
-    def witness_of(self, c: Concept) -> frozenset[int]:
-        return self.witnesses[self.k.index_of(c)]
-
     @property
     def td(self) -> int:
         return max(self.sizes)

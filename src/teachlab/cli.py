@@ -1,4 +1,4 @@
-"""Subcommand front end, file codecs, and the exit-code contract.
+"""Subcommand front end, output rendering, and the exit-code contract.
 
 Exit codes: 0 success; 1 a mathematically meaningful property failed to
 hold (never used for I/O trouble); 2 bad input, malformed file, or bad
@@ -6,6 +6,8 @@ usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
 limit; the size caps left stand for memory (verify dim1 and search maxclass
 at n <= 4) and for output that must not depend on time (bounds).
 
+The file codecs live beside the objects they read: classes in concepts,
+teachers in ncteach, tournaments in tournaments and families in johnson.
 Teacher files are matched to the class file by mask, so they may list its
 concepts in any order, and verify-teacher names a clash in class order.
 

@@ -102,13 +102,12 @@ def _cmd_td(args) -> Report:
         if not 0 <= args.concept < len(k):
             raise ValueError(f"concept index {args.concept} outside 0..{len(k) - 1}")
         i = args.concept
-        c = k.concepts[i].to_string()
-        size, witness = td_of(k, k.concepts[i])
+        c = k[i].to_string()
+        size, witness = td_of(k, k[i])
         doc = {"n": k.n, "index": i, "concept": c, "td": size, "witness": sorted(witness)}
         return EXIT_OK, doc, [_td_line(i, c, size, witness)]
     rep = teaching_report(k)
-    rows = [(i, k.concepts[i].to_string(), rep.sizes[i], rep.witnesses[i])
-            for i in range(len(k))]
+    rows = [(i, c.to_string(), rep.sizes[i], rep.witnesses[i]) for i, c in enumerate(k)]
     doc = {"n": k.n, "size": len(k),
            "concepts": [{"index": i, "concept": c, "td": size, "witness": sorted(w)}
                         for i, c, size, w in rows],
@@ -144,7 +143,7 @@ def _cmd_rtd(args) -> Report:
 
 def _teacher_json(t: NCTeacher) -> list[dict]:
     return [{"concept": c.to_string(), "set": sorted(s)}
-            for c, s in zip(t.k.concepts, t.sets)]
+            for c, s in zip(t.k, t.sets)]
 
 
 def _cmd_nctd(args) -> Report:
@@ -178,7 +177,7 @@ def _cmd_verify_teacher(args) -> Report:
     if bad is None:
         return EXIT_OK, doc, [f"teacher is admissible (order {t.order})"]
     i, j = bad
-    ci, cj = t.k.concepts[i].to_string(), t.k.concepts[j].to_string()
+    ci, cj = t.k[i].to_string(), t.k[j].to_string()
     doc["clash"] = [ci, cj]
     joint = sorted(t.sets[i] | t.sets[j])
     return EXIT_PROPERTY, doc, [
@@ -208,7 +207,7 @@ def _cmd_tournament_class(args) -> Report:
     g = parse_tournament(_read(args.infile))
     k = class1(g) if args.mode == 1 else class2(g)
     text = serialize_class(k)
-    doc = {"n": k.n, "mode": args.mode, "concepts": [c.to_string() for c in k.concepts]}
+    doc = {"n": k.n, "mode": args.mode, "concepts": [c.to_string() for c in k]}
     if not args.out:
         return EXIT_OK, doc, [text.removesuffix("\n")]
     _write(args.out, text)
@@ -365,7 +364,7 @@ def _cmd_search_maxclass(args) -> Report:
     res = max_class_search(args.n, args.d)
     doc = {"n": res.n, "d": res.d, "status": res.status, "size": res.size,
            "lower": res.lower, "upper": res.upper,
-           "witnesses": [[c.to_string() for c in w.concepts] for w in res.witnesses]}
+           "witnesses": [[c.to_string() for c in w] for w in res.witnesses]}
     if res.status == "exact":
         lines = [f"M_NC({res.n},{res.d}) = {res.size}",
                  f"maximum classes up to relabeling: {len(res.witnesses)}"]

@@ -1,11 +1,11 @@
 """Concepts over a finite domain and the concept-class file codec.
 
 Instances are numbered 1..n.  A concept is a 0/1 labeling of the instances,
-held as an n-bit integer with bit i-1 storing the label of instance i; a
-concept class is an ordered, duplicate-free collection of concepts over a
-shared domain.  Keeping labelings in machine words turns agreement and
-difference queries into single integer operations, and those two queries
-are the inner loop of every search in this package.
+held as an n-bit integer with bit i-1 storing the label of instance i.  A
+concept class stores n and an ordered, duplicate-free tuple of masks, and
+builds Concept views of them on request.  Keeping labelings in machine words
+turns agreement and difference queries into single integer operations, and
+those two queries are the inner loop of every search in this package.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class Concept:
             raise ValueError("membership mask does not fit the domain")
 
     @classmethod
-    def from_instances(cls, instances: Iterable[int], n: int) -> Concept:
-        return cls(n, instances_to_mask(instances, n))
-
-    @classmethod
     def from_string(cls, text: str) -> Concept:
         """Parse a bitstring; character j (1-based, from the left) labels instance j."""
         return cls(len(text), _decode_bits(text))
@@ -80,7 +76,7 @@ class Concept:
 
     def to_string(self) -> str:
         """The inverse of from_string: the mask's n binary digits, least significant first."""
-        return format(self.bits, f"0{self.n}b")[::-1]
+        return _encode_bits(self.bits, self.n)
 
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.n and (self.bits >> (x - 1)) & 1 == 1
@@ -88,49 +84,48 @@ class Concept:
 
 @dataclass(frozen=True)
 class ConceptClass:
-    """An ordered, duplicate-free collection of concepts over one domain."""
+    """An ordered, duplicate-free tuple of concept masks over the domain [n].
+
+    The masks are the class; concepts, iteration and indexing build Concept
+    views of them on request, so read those once, not per use.
+    """
 
     n: int
-    concepts: tuple[Concept, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("domain size must be at least 1")
-        for c in self.concepts:
-            if c.n != self.n:
-                raise ValueError("concept domain size differs from class domain size")
-        if len({c.bits for c in self.concepts}) != len(self.concepts):
+        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.n):
+            raise ValueError("membership mask does not fit the domain")
+        if len(set(self.masks)) != len(self.masks):
             raise ValueError("concept class contains duplicate concepts")
 
     @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> ConceptClass:
-        return cls(n, tuple(Concept(n, b) for b in masks))
-
-    @classmethod
-    def from_instance_sets(cls, sets: Iterable[Iterable[int]], n: int) -> ConceptClass:
-        return cls(n, tuple(Concept.from_instances(s, n) for s in sets))
+        return cls(n, tuple(masks))
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(c.bits for c in self.concepts)
+    def concepts(self) -> tuple[Concept, ...]:
+        return tuple(self)
 
     def index_of(self, c: Concept) -> int:
-        for i, own in enumerate(self.concepts):
-            if own == c:
-                return i
-        raise ValueError("concept not in class")
+        if c not in self:
+            raise ValueError("concept not in class")
+        return self.masks.index(c.bits)
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Concept]:
-        return iter(self.concepts)
+        n = self.n
+        return (Concept(n, b) for b in self.masks)
 
     def __getitem__(self, i: int) -> Concept:
-        return self.concepts[i]
+        return Concept(self.n, self.masks[i])
 
     def __contains__(self, c: object) -> bool:
-        return isinstance(c, Concept) and any(own == c for own in self.concepts)
+        return isinstance(c, Concept) and c.n == self.n and c.bits in self.masks
 
 
 def _require_same_domain(c: Concept, c2: Concept) -> None:
@@ -218,6 +213,11 @@ def _decode_bits(text: str, n: int | None = None, where: str = "") -> int:
     return int(text[::-1], 2)
 
 
+def _encode_bits(bits: int, n: int) -> str:
+    """The inverse of _decode_bits: the mask's n binary digits, least significant first."""
+    return format(bits, f"0{n}b")[::-1]
+
+
 def _parse_instances(text: str, n: int, where: str) -> frozenset[int]:
     """Whitespace-separated instances, each an integer in 1..n, none repeated."""
     try:
@@ -257,6 +257,7 @@ def parse_class(text: str) -> ConceptClass:
 
 def serialize_class(k: ConceptClass) -> str:
     """Render a class in the file format; parse_class(serialize_class(k)) == k."""
-    lines = [f"n={k.n}"]
-    lines.extend(c.to_string() for c in k.concepts)
+    n = k.n
+    lines = [f"n={n}"]
+    lines.extend(_encode_bits(b, n) for b in k.masks)
     return "\n".join(lines) + "\n"

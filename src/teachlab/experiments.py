@@ -165,8 +165,6 @@ def claim_scan(limit: int = 1 << 40) -> ClaimScan:
         if e >= 2 and 3 << (e - 1) <= limit:
             grid.add(3 << (e - 1))
         e += 1
-    if not grid:
-        grid.add(2)
     # a value is a step over the bits of its binomials, limit.bit_length() ** 2 at most
     step = _steps("claim scan", limit.bit_length() ** 2)
     records = []
@@ -343,13 +341,13 @@ def _plain_changes(n: int) -> list[int]:
     first n - 1 elements, element n sweeps down from the last position to
     the first, or back up.
     """
-    if n < 2:
-        return []
-    out = []
-    for j, i in enumerate(_plain_changes(n - 1) + [-1]):
-        out.extend(range(n - 2, -1, -1) if j % 2 == 0 else range(n - 1))
-        if i >= 0:
-            out.append(i + 1 - j % 2)  # the others sit one position up after a sweep down
+    out: list[int] = []
+    for m in range(2, n + 1):  # out is the order of S_(m-1), extended to S_m
+        prev, out = out + [-1], []
+        for j, i in enumerate(prev):
+            out.extend(range(m - 2, -1, -1) if j % 2 == 0 else range(m - 1))
+            if i >= 0:
+                out.append(i + 1 - j % 2)  # the others sit one position up after a sweep down
     return out
 
 

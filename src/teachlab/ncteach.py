@@ -41,6 +41,7 @@ from .concepts import (
     ConceptClass,
     _content_lines,
     _decode_bits,
+    _encode_bits,
     _parse_instances,
     _read_header,
     agrees_on,
@@ -449,10 +450,9 @@ def nctd(k: ConceptClass, d_max: int | None = None) -> NctdResult:
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max must lie in 0..{n}")
     verified = nctd_lower_bound(k)
-    masks = list(k.masks)
     for d in range(verified, d_max + 1):
         try:
-            sol = decide_order(masks, n, d)
+            sol = decide_order(k.masks, n, d)
         except BudgetError:
             return NctdResult("timeout", None, None, verified)
         if sol is not None:
@@ -464,10 +464,11 @@ def nctd(k: ConceptClass, d_max: int | None = None) -> NctdResult:
 
 def serialize_teacher(t: NCTeacher) -> str:
     """Render a teacher: header ``n=<n> d=<order>``, then one line per concept."""
-    lines = [f"n={t.k.n} d={t.order}"]
-    for c, s in zip(t.k.concepts, t.sets):
+    n = t.k.n
+    lines = [f"n={n} d={t.order}"]
+    for b, s in zip(t.k.masks, t.sets):
         inst = " ".join(str(x) for x in sorted(s))
-        lines.append(f"{c.to_string()} : {inst}".rstrip())
+        lines.append(f"{_encode_bits(b, n)} : {inst}".rstrip())
     return "\n".join(lines) + "\n"
 
 

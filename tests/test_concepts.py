@@ -98,7 +98,7 @@ def test_class_construction_rejects_duplicates_and_mixed_domains():
     with pytest.raises(ValueError):
         ConceptClass.from_masks([1, 1], 2)
     with pytest.raises(ValueError):
-        ConceptClass(2, (Concept(2, 1), Concept(3, 1)))
+        ConceptClass.from_masks([1, 4], 2)
 
 
 def test_class_order_is_preserved():
