@@ -11,8 +11,12 @@ teachers in ncteach, tournaments in tournaments and families in johnson.
 Teacher files are matched to the class file by mask, so they may list its
 concepts in any order, and verify-teacher names a clash in class order.
 
-All numeric output is explicit: integers exact, rationals as p/q, reals
-with 12 significant digits.  Every subcommand is deterministic given its
+All numeric output is explicit: integers exact however long, rationals as
+p/q, reals with 12 significant digits.  CPython (3.10.7 on) refuses to
+convert an int of over 4,300 digits to or from a string; the bounds of
+bounds and johnson hmax can be longer, so their handlers and dispatch
+render under exact_ints(), which lifts that limit.  It stays in force while
+arguments and files are parsed.  Every subcommand is deterministic given its
 arguments; randomness only enters through an explicit --seed.
 
 Each handler returns its exit code, a JSON object and text lines, and
@@ -41,6 +45,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import BudgetError, PropertyViolation, budget
@@ -74,6 +80,20 @@ def _budget_secs(raw: str) -> float:
     return secs
 
 
+@contextmanager
+def exact_ints() -> Iterator[None]:
+    """Lift CPython's limit on the digits of an int-string conversion, if it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # the exit code of each exception type that a handler may raise (disjoint types)
 _ERROR_EXITS = {
     PropertyViolation: EXIT_PROPERTY,
@@ -101,7 +121,9 @@ def dispatch(argv: list[str]) -> CommandOutcome:
     except tuple(_ERROR_EXITS) as exc:
         code = next(c for kind, c in _ERROR_EXITS.items() if isinstance(exc, kind))
         doc, lines = {"error": str(exc)}, [f"error: {exc}"]
-    return CommandOutcome(code, json.dumps(doc, default=list) if args.json else "\n".join(lines))
+    with exact_ints():
+        text = json.dumps(doc, default=list) if args.json else "\n".join(lines)
+    return CommandOutcome(code, text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bounds import bound_report
 from .classical import rtd, rtd_bruteforce, td_of, teaching_report
-from .cli import BUDGET_ENV, EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY, _budget_secs
+from .cli import BUDGET_ENV, EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY, _budget_secs, exact_ints
 from .concepts import ConceptClass, mask_to_instances, parse_class, serialize_class
 from .errors import FormatError, PropertyViolation
 from .experiments import (
@@ -241,7 +241,8 @@ def _cmd_johnson_hmax(args) -> Report:
         lines = [f"H_{res.t}({res.n},{res.k}) = {res.size}"]
     else:
         code, what = EXIT_BUDGET, "best family found (lower bound)"
-        lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
+        with exact_ints():  # the counting bound, C(n, k+1) t / (n-k) at most
+            lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
     if args.witness:
         _write(args.witness, serialize_family(res.witness))
         doc["witness_file"] = args.witness
@@ -254,17 +255,18 @@ def _cmd_johnson_hmax(args) -> Report:
 
 def _cmd_bounds(args) -> Report:
     rep = bound_report(args.n, args.d, args.t)
-    doc = {"n": rep.n, "d": rep.d, "t": rep.t, "ksz": rep.ksz,
-           "gub": str(rep.gub), "factor": _jreal(rep.factor),
-           "h_used": str(rep.h_used), "h_kind": rep.h_kind}
-    if args.csv:
-        t_field = "" if rep.t is None else str(rep.t)
-        return EXIT_OK, doc, [
-            "n,d,t,ksz,gub,factor,h_used,h_kind",
-            f"{rep.n},{rep.d},{t_field},{rep.ksz},{rep.gub},"
-            f"{_real(rep.factor)},{rep.h_used},{rep.h_kind}"]
-    width = max(len(key) for key, _ in rep.rows())
-    return EXIT_OK, doc, [f"{key.ljust(width)} = {val}" for key, val in rep.rows()]
+    with exact_ints():  # ksz and gub have about n log10(2) digits
+        doc = {"n": rep.n, "d": rep.d, "t": rep.t, "ksz": rep.ksz,
+               "gub": str(rep.gub), "factor": _jreal(rep.factor),
+               "h_used": str(rep.h_used), "h_kind": rep.h_kind}
+        if args.csv:
+            t_field = "" if rep.t is None else str(rep.t)
+            return EXIT_OK, doc, [
+                "n,d,t,ksz,gub,factor,h_used,h_kind",
+                f"{rep.n},{rep.d},{t_field},{rep.ksz},{rep.gub},"
+                f"{_real(rep.factor)},{rep.h_used},{rep.h_kind}"]
+        width = max(len(key) for key, _ in rep.rows())
+        return EXIT_OK, doc, [f"{key.ljust(width)} = {val}" for key, val in rep.rows()]
 
 
 # ---------------------------------------------------------------- experiments

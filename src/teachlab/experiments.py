@@ -7,10 +7,11 @@ exhaustive searches (dimension-1 characterization, maximum-class search)
 enumerate concept classes directly as subsets of the 2^n concept masks and
 lean on the order-d teacher decision procedure, once per orbit of classes
 under the symmetries of the n-cube (domain permutations and XOR by a
-concept mask), which keep every clash.  Each orbit is walked on the
-2^n-bit class mask alone, by delta swaps, and the permutation swaps of
-that walk also give the maximum witnesses: canonical forms under domain
-permutation.
+concept mask), which keep every clash.  Each orbit is written on the
+2^n-bit class masks alone: delta swaps walk the domain permutations, a
+table indexed by one byte of a class mask gives every translation of each
+permuted mask, and the permutation swaps also give the maximum witnesses:
+canonical forms under domain permutation.
 
 The threshold and claim arithmetic uses base-2 logarithms throughout.
 Binomials are exact integers however large; the only approximate step is
@@ -355,35 +356,44 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 @lru_cache(maxsize=4)
-def _cube_walk(n: int) -> tuple[bytes, list[tuple[int, int]], list[tuple[int, int]]]:
-    """The popcount of each class mask over [n], and the swaps that walk its cube orbit.
+def _cube_walk(n: int) -> tuple[bytes, list[tuple[int, ...]], list[tuple[int, int]]]:
+    """The popcount of each class mask over [n], the translations of each byte
+    of a class mask, and the swaps that walk the domain permutations.
 
     The popcounts, byte x for mask x, are built by doubling: the counts of
-    the masks with concept c are those without it, plus one.  A move
-    (width, low) XORs every concept with 2^i: it swaps each block of
-    2^i = width concepts without instance i+1 (low) with the block above,
-    and the moves of a Gray code over i visit every translation.  A turn
-    (shift, mask) swaps instances i+1 and i+2 by one delta swap: each
-    concept c with c >> i & 3 == 1 (mask) trades places with c + 2^i =
-    c + shift.  The turns start with (0, 0), which changes nothing, and go
-    on through the n! - 1 transpositions of _plain_changes(n), so they visit
-    every permutation.
+    the masks with concept c are those without it, plus one.  Row b of the
+    byte table lists the images of byte b, a set of concepts 0..7, under
+    XOR by each v < min(8, 2^n); each column v is built by doubling too.
+    XOR by v < 8 permutes the 8 concepts of every byte of a class mask in
+    the same way, so below n = 4 row x is the translation orbit of mask x.
+    At n = 4, XOR by v >= 8 also swaps the mask's two bytes, so the orbit
+    of hi << 8 | lo is hi' << 8 | lo' and lo' << 8 | hi' for each v < 8,
+    where hi' and lo' are entry v of rows hi and lo.  A turn (shift, mask)
+    swaps instances i+1 and i+2 by one delta swap: each concept c with
+    c >> i & 3 == 1 (mask) trades places with c + 2^i = c + shift.  The
+    turns start with (0, 0), which changes nothing, and go on through the
+    n! - 1 transpositions of _plain_changes(n), so they visit every
+    permutation.
     """
     total = 1 << n
     counts = b"\0"
     for _ in range(total):
         counts += counts.translate(_PLUS_ONE)
-    moves = [(1 << i, sum(1 << c for c in range(total) if not c >> i & 1))
-             for i in ((v & -v).bit_length() - 1 for v in range(1, total))]
+    columns = []
+    for v in range(min(8, total)):
+        column = [0]
+        for c in range(8):
+            column += [x | 1 << (c ^ v) for x in column]
+        columns.append(column)
     turns = [(0, 0)] + [(1 << i, sum(1 << c for c in range(total) if c >> i & 3 == 1))
                         for i in _plain_changes(n)]
-    return counts, moves, turns
+    return counts, list(zip(*columns)), turns
 
 
 def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The number of size-concept classes over [n], counted as they are
-    decided, and those with an order-d teacher, as combination tuples in
-    itertools.combinations order.
+    """The number of size-concept classes over [n], C(2^n, size), and those
+    with an order-d teacher, as combination tuples in itertools.combinations
+    order.
 
     A clash reads only c ^ c' and S | S'.  XORing every concept with one mask
     v keeps every c ^ c', and permuting the instances maps each set S to its
@@ -395,53 +405,53 @@ def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ..
     scan finds the next undecided mask with bytearray.find, runs
     decide_order once on that class, and writes the verdict under every
     image in its orbit: the turns of _cube_walk reach each permuted class,
-    and from each one not yet written, the moves reach its translations.
+    and each one with no verdict yet gets its whole translation orbit from
+    one row of the byte table, or two at n = 4.  Translation orbits are
+    written whole, so a permuted class with a verdict has its orbit written.
     The scan stops once every class has a verdict, which at (4, 1, 8) is
     after 74 decisions.  The verdicts live for this call only.
     """
     total = 1 << n
-    counts, moves, turns = _cube_walk(n)
+    counts, rows, turns = _cube_walk(n)
     # one byte per class mask; 64 KB at n = 4, the largest n that
     # verify_dim1 and max_class_search enumerate
     verdicts = bytearray(counts.translate(b"\3" * size + b"\0" + b"\3" * (255 - size)))
-    classes, decided, key = comb(total, size), 0, -1
-    while decided < classes:
-        key = verdicts.find(0, key + 1)
+    key = verdicts.find(0)
+    while key >= 0:
         verdict = 1 if decide_order([c for c in range(total) if key >> c & 1], n, d) is None else 2
         image = key
         for shift, mask in turns:
             t = (image ^ image >> shift) & mask
             image ^= t ^ t << shift
             if verdicts[image]:
-                continue  # written with its whole translation orbit
-            verdicts[image] = verdict
-            decided += 1
-            moved = image
-            for width, low in moves:
-                moved = (moved & low) << width | moved >> width & low
-                if not verdicts[moved]:
+                continue
+            if n < 4:
+                for moved in rows[image]:
                     verdicts[moved] = verdict
-                    decided += 1
+            else:
+                for lo, hi in zip(rows[image & 255], rows[image >> 8]):
+                    verdicts[hi << 8 | lo] = verdicts[lo << 8 | hi] = verdict
+        key = verdicts.find(0, key + 1)
     passing = []
     key = verdicts.find(2)
     while key >= 0:
         passing.append(tuple(c for c in range(total) if key >> c & 1))
         key = verdicts.find(2, key + 1)
-    return decided, sorted(passing)
+    return comb(total, size), sorted(passing)
 
 
 def verify_dim1(n: int) -> Dim1Report:
     """Enumerate all 2n-concept classes over [n]; compare the order-1 admissible
     ones against the tournament-induced classes.
 
-    Every class is counted as a candidate as it is decided, one call to
-    decide_order per orbit of the cube group (_decided_classes): the scan
-    visits only the class masks of 2n concepts that no earlier orbit
-    reached, and delta swaps on the mask reach every image of each.  At
-    n = 4 the 12,870 classes fall into 74 orbits, so decide_order is called
-    74 times; its trace count refutes 41 of them (7,908 classes).  n = 4
-    takes about 5 ms (Python 3.11, 2 vCPUs).  n > 4 is refused for memory:
-    a 4 GiB verdict table at n = 5.
+    Every class is a candidate, decided by one call to decide_order per
+    orbit of the cube group (_decided_classes): the scan visits only the
+    class masks of 2n concepts that no earlier orbit reached, and delta
+    swaps and the byte table of translations on the mask reach every image
+    of each.  At n = 4 the 12,870 classes fall into 74 orbits, so
+    decide_order is called 74 times; its trace count refutes 41 of them
+    (7,908 classes).  n = 4 takes about 4 ms (Python 3.11, 2 vCPUs).  n > 4
+    is refused for memory: a 4 GiB verdict table at n = 5.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -476,13 +486,13 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
     class is the maximum; one concept always passes.  Each size is decided
     one orbit of the cube group at a time (_decided_classes), whose scan
     visits only the class masks of that size no earlier orbit reached and
-    whose delta swaps on the mask reach every image: at (4, 1) the 12,870
-    classes of size 8 need 74 calls to decide_order (about 4.5 ms in all on
-    Python 3.11, 2 vCPUs), and the power set, when the bound allows it,
-    needs one.  Past n = 4, where the verdict table would take 4 GiB, a
-    greedy witness (each concept in turn, kept when the class stays
-    admissible) and the counting upper bound are reported; a greedy that
-    takes every concept is exact.
+    whose delta swaps and byte table on the mask reach every image: at
+    (4, 1) the 12,870 classes of size 8 need 74 calls to decide_order
+    (about 3.5 ms in all on Python 3.11, 2 vCPUs), and the power set, when
+    the bound allows it, needs one.  Past n = 4, where the verdict table
+    would take 4 GiB, a greedy witness (each concept in turn, kept when the
+    class stays admissible) and the counting upper bound are reported; a
+    greedy that takes every concept is exact.
 
     A canonical witness is the lexicographically least sorted image of a
     maximum class under the n! domain permutations, which the turns of

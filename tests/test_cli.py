@@ -5,6 +5,7 @@ input, 3 budget exceeded or result inconclusive.
 """
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 from teachlab import (
     ConceptClass,
+    bound_report,
     class1,
     class2,
     random_tournament,
@@ -339,6 +341,57 @@ def test_johnson_hmax_inconclusive_over_limit(capsys):
         dispatch(["johnson", "hmax", "--n", "12", "--k", "3", "--t", "2", "--exact-limit", "10"])
     assert exc.value.code == EXIT_INPUT
     assert "--exact-limit" in capsys.readouterr().err
+
+
+def _long_int(digits: str) -> int:
+    # an exact parse in 1,000-digit chunks, each under CPython's 4,300-digit
+    # limit on int-string conversion
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_johnson_hmax_prints_a_bound_past_the_int_digit_limit():
+    # the set-up of 10,001-subsets of [20000] never ends within the budget, so
+    # the search reports no family and the counting bound of about 6,000 digits
+    outcome = dispatch(["johnson", "hmax", "--n", "20000", "--k", "10000", "--t", "2",
+                        "--timeout", "0.2"])
+    assert outcome.code == EXIT_BUDGET
+    prefix = "inconclusive: 0 <= H_2(20000,10000) <= "
+    assert outcome.text.startswith(prefix)
+    digits = outcome.text.removeprefix(prefix)
+    assert digits.isdigit() and len(digits) > 4300
+    assert _long_int(digits) == min(math.comb(20000, 10000), 2 * math.comb(20000, 10001) // 10000)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_print_past_the_int_digit_limit(json_flag):
+    # at (100000, 50000) ksz = 2^d C(n, d) has 45,152 digits, and gub is an
+    # integer of 45,151
+    outcome = dispatch(["bounds", "--n", "100000", "--d", "50000"] + json_flag)
+    assert outcome.code == EXIT_OK
+    if json_flag:
+        doc = json.loads(outcome.text, parse_int=_long_int)
+        ksz, gub = doc["ksz"], doc["gub"]
+    else:
+        rows = dict(line.split(" = ") for line in outcome.text.splitlines())
+        ksz, gub = _long_int(rows["ksz   "]), rows["gub   "]
+    assert ksz == (1 << 50000) * math.comb(100000, 50000)
+    assert _long_int(gub) == bound_report(100000, 50000).gub
+
+
+def test_long_header_is_refused_at_once(tmp_path):
+    # the digit limit stays in force while files are read: a header of 5,000
+    # digits is an input error, not a domain of 10^5000 instances
+    cls = tmp_path / "long.cls"
+    cls.write_text("n=" + "9" * 5000 + "\n0\n", encoding="ascii")
+    start = time.monotonic()
+    outcome = dispatch(["td", "--class", str(cls)])
+    assert time.monotonic() - start < 1.0
+    assert outcome.code == EXIT_INPUT
+    assert outcome.text.startswith("error: line 1: malformed header ")
 
 
 def test_bounds_text_golden(capsys):

@@ -181,17 +181,42 @@ def test_verify_dim1_rejects_n_below_1(n):
 
 
 # every (n, d, size) that verify_dim1 and max_class_search enumerate at n <= 4,
-# plus neighbouring sizes at order 1, the order-2 sizes 13-16 and the power set
-# at order 3 over [4], and every size at every order over [3], so that the
-# scan's size filter and the orbit walk meet every popcount
-@pytest.mark.parametrize("n, d, size", [(1, 1, 2), (2, 1, 4), (4, 1, 7), (4, 1, 8), (4, 1, 9),
-                                        (4, 2, 13), (4, 2, 14), (4, 2, 15), (4, 2, 16), (4, 3, 16)]
+# plus every size at order 1 over [4], the order-2 sizes 13-16 and the power
+# set at order 3 over [4], and every size at every order over [3], so that the
+# scan's size filter and both byte-table paths meet every popcount
+@pytest.mark.parametrize("n, d, size", [(1, 1, 2), (2, 1, 4)]
+                         + [(4, 1, size) for size in range(1, 17)]
+                         + [(4, 2, 13), (4, 2, 14), (4, 2, 15), (4, 2, 16), (4, 3, 16)]
                          + [(3, d, size) for d in (1, 2, 3) for size in range(1, 9)])
 def test_decided_classes_match_a_decision_per_class(n, d, size):
     plain = [(combo, experiments.decide_order(list(combo), n, d) is not None)
              for combo in itertools.combinations(range(1 << n), size)]
     decided = experiments._decided_classes(n, d, size)
     assert decided == (len(plain), [c for c, ok in plain if ok])
+
+
+def test_byte_table_gives_every_translation_of_a_class_mask():
+    # the table's images of class mask key: one row below n = 4, and at n = 4
+    # the pairs of entries of the rows of its two bytes, in both byte orders
+    def table_images(n, key):
+        rows = experiments._cube_walk(n)[1]
+        if n < 4:
+            return set(rows[key])
+        pairs = list(zip(rows[key & 255], rows[key >> 8]))
+        return {hi << 8 | lo for lo, hi in pairs} | {lo << 8 | hi for lo, hi in pairs}
+
+    # and each image built concept by concept: the sum of 1 << (c ^ v) over
+    # the concepts c of the class, for every v < 2^n
+    def translations(n, key):
+        concepts = [c for c in range(1 << n) if key >> c & 1]
+        return {sum(1 << (c ^ v) for c in concepts) for v in range(1 << n)}
+
+    for n in (1, 2, 3):
+        for key in range(1 << (1 << n)):
+            assert table_images(n, key) == translations(n, key)
+    rng = random.Random(17)
+    for key in [0, 1, 0xFF, 0xFF00, 0xFFFF] + rng.sample(range(1 << 16), 3000):
+        assert table_images(4, key) == translations(4, key)
 
 
 def test_translating_a_class_keeps_its_nctd():
