@@ -17,9 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from typing import TYPE_CHECKING
 
 from .johnson import KSetFamily, h_ratio
-from .ncteach import NCTeacher
+if TYPE_CHECKING:  # heavy_sets' annotation: ncteach imports this module
+    from .ncteach import NCTeacher
 
 __all__ = [
     "BoundReport",

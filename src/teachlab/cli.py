@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 a mathematically meaningful property failed to
 hold (never used for I/O trouble); 2 bad input, malformed file, or bad
 usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
-limit; the size caps left stand for memory (verify dim1 and search maxclass
-at n <= 4) and for output that must not depend on time (bounds).
+limit; the size caps left stand for memory (only the exhaustive enumeration
+of verify dim1 and search maxclass, at n <= 4; past it search maxclass gives
+a greedy lower bound) and for output that must not depend on time (bounds).
 
 The file codecs live beside the objects they read: classes in concepts,
 teachers in ncteach, tournaments in tournaments and families in johnson.

@@ -50,8 +50,12 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="ascii")
 
 
-def _write(path: str, text: str) -> None:
+def _wrote(doc: dict, lines: list[str], key: str, path: str, text: str, what: str) -> list[str]:
+    """Write text to path, record path as doc[key] and report it in lines, which is returned."""
     Path(path).write_text(text, encoding="ascii")
+    doc[key] = path
+    lines.append(f"wrote {what} to {path}")
+    return lines
 
 
 def _job_count(raw: str) -> int:
@@ -118,9 +122,7 @@ def _cmd_td(args) -> Report:
     if args.csv:
         csv_lines = ["concept_index,td,witness"]
         csv_lines += [f"{i},{size},{_witness_str(w)}" for i, _, size, w in rows]
-        _write(args.csv, "\n".join(csv_lines) + "\n")
-        doc["csv"] = args.csv
-        lines.append(f"wrote CSV to {args.csv}")
+        _wrote(doc, lines, "csv", args.csv, "\n".join(csv_lines) + "\n", "CSV")
     return EXIT_OK, doc, lines
 
 
@@ -163,9 +165,8 @@ def _cmd_nctd(args) -> Report:
     if args.emit_teacher:
         if res.teacher is None:
             raise AssertionError("nctd reported an exact value without a teacher")
-        _write(args.emit_teacher, serialize_teacher(res.teacher))
-        doc["teacher_file"] = args.emit_teacher
-        lines.append(f"wrote teacher to {args.emit_teacher}")
+        _wrote(doc, lines, "teacher_file", args.emit_teacher, serialize_teacher(res.teacher),
+               "teacher")
     return EXIT_OK, doc, lines
 
 
@@ -198,9 +199,7 @@ def _cmd_tournament_gen(args) -> Report:
     doc = _tournament_json(g)
     if not args.out:
         return EXIT_OK, doc, [text.removesuffix("\n")]
-    _write(args.out, text)
-    doc["tournament_file"] = args.out
-    return EXIT_OK, doc, [f"wrote tournament to {args.out}"]
+    return EXIT_OK, doc, _wrote(doc, [], "tournament_file", args.out, text, "tournament")
 
 
 def _cmd_tournament_class(args) -> Report:
@@ -210,9 +209,7 @@ def _cmd_tournament_class(args) -> Report:
     doc = {"n": k.n, "mode": args.mode, "concepts": [c.to_string() for c in k]}
     if not args.out:
         return EXIT_OK, doc, [text.removesuffix("\n")]
-    _write(args.out, text)
-    doc["class_file"] = args.out
-    return EXIT_OK, doc, [f"wrote {len(k)} concepts to {args.out}"]
+    return EXIT_OK, doc, _wrote(doc, [], "class_file", args.out, text, f"{len(k)} concepts")
 
 
 def _cmd_tournament_recover(args) -> Report:
@@ -244,9 +241,7 @@ def _cmd_johnson_hmax(args) -> Report:
         with exact_ints():  # the counting bound, C(n, k+1) t / (n-k) at most
             lines = [f"inconclusive: {res.lower} <= H_{res.t}({res.n},{res.k}) <= {res.upper}"]
     if args.witness:
-        _write(args.witness, serialize_family(res.witness))
-        doc["witness_file"] = args.witness
-        lines.append(f"wrote {what} to {args.witness}")
+        _wrote(doc, lines, "witness_file", args.witness, serialize_family(res.witness), what)
     return code, doc, lines
 
 
@@ -296,9 +291,7 @@ def _cmd_experiment_tdmin(args) -> Report:
         f" fraction below = {_real(summary.fraction_below)}",
     ]
     if args.out:
-        _write(args.out, "\n".join(csv_lines) + "\n")
-        doc["csv"] = args.out
-        lines.append(f"wrote CSV to {args.out}")
+        _wrote(doc, lines, "csv", args.out, "\n".join(csv_lines) + "\n", "CSV")
     return EXIT_OK, doc, lines
 
 

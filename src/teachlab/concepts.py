@@ -170,6 +170,11 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         start = end
 
 
+def _shown(line: str) -> str:
+    """line's repr for an error message, cut past 40 characters to its start and its length."""
+    return repr(line) if len(line) <= 40 else f"{line[:40]!r} (first 40 of {len(line)} characters)"
+
+
 def _read_header(lines: Iterator[tuple[int, str]], *keys: str) -> list[int]:
     """Consume the header line ``k1=<int> k2=<int> ...``.
 
@@ -186,10 +191,10 @@ def _read_header(lines: Iterator[tuple[int, str]], *keys: str) -> list[int]:
     try:
         values = [int(p[len(key) + 1:]) for p, key in zip(parts, keys)]
     except ValueError:
-        raise FormatError(f"line {lineno}: malformed header {line!r}") from None
+        raise FormatError(f"line {lineno}: malformed header {_shown(line)}") from None
     n = values[0]
     if n < 1 or not all(0 <= v <= n for v in values[1:]):
-        raise FormatError(f"line {lineno}: header {line!r} out of range")
+        raise FormatError(f"line {lineno}: header {_shown(line)} out of range")
     return values
 
 
@@ -247,7 +252,7 @@ def parse_class(text: str) -> ConceptClass:
     for lineno, line in lines:
         bits = _decode_bits(line, n, f"line {lineno}: ")
         if bits in seen:
-            raise FormatError(f"line {lineno}: duplicate concept {line!r}")
+            raise FormatError(f"line {lineno}: duplicate concept {_shown(line)}")
         seen.add(bits)
         masks.append(bits)
     if not masks:

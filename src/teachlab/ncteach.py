@@ -3,7 +3,7 @@
 A teacher assigns each concept an instance set; two concepts clash when
 they agree everywhere on the union of their assigned sets, and a teacher
 is admissible when no pair clashes.  NCTD(k) is computed by deciding, for
-d = counting lower bound, d+1, ..., whether an admissible assignment of
+d = bounds.ksz_bound's lower bound, d+1, ..., whether an admissible assignment of
 d-subsets exists.  The decision procedure first tries a greedy order-1
 assignment, which checks each candidate against all earlier concepts at
 once in lanes of one int, then a trace count that can refute order d
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator
 
+from .bounds import ksz_bound
 from .concepts import (
     Concept,
     ConceptClass,
@@ -44,6 +45,7 @@ from .concepts import (
     _encode_bits,
     _parse_instances,
     _read_header,
+    _shown,
     agrees_on,
     instances_to_mask,
     mask_to_instances,
@@ -143,12 +145,8 @@ def normalize_teacher(t: NCTeacher, d: int) -> NCTeacher:
 
 
 def nctd_lower_bound(k: ConceptClass) -> int:
-    """Smallest d with 2^d * C(n, d) >= |k|: at most 2^d concepts may share a set."""
-    size = len(k)
-    for d in range(k.n + 1):
-        if (1 << d) * comb(k.n, d) >= size:
-            return d
-    raise AssertionError("2^n always covers a duplicate-free class")
+    """Smallest d with ksz_bound(n, d) >= |k|; bounds.ksz_bound is the bound's one home."""
+    return next(d for d in range(k.n + 1) if ksz_bound(k.n, d) >= len(k))
 
 
 def _subset_masks(n: int, size: int) -> Iterator[int]:
@@ -487,7 +485,7 @@ def parse_teacher(text: str) -> NCTeacher:
         text_bits = left.strip()
         bits = _decode_bits(text_bits, n, where)
         if bits in seen:
-            raise FormatError(f"{where}duplicate concept {text_bits!r}")
+            raise FormatError(f"{where}duplicate concept {_shown(text_bits)}")
         seen.add(bits)
         masks.append(bits)
         inst = _parse_instances(right, n, where)

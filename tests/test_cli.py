@@ -384,14 +384,30 @@ def test_bounds_print_past_the_int_digit_limit(json_flag):
 
 def test_long_header_is_refused_at_once(tmp_path):
     # the digit limit stays in force while files are read: a header of 5,000
-    # digits is an input error, not a domain of 10^5000 instances
+    # digits is an input error, not a domain of 10^5000 instances, and the
+    # error repeats only the start of the line, for the class, teacher and
+    # tournament readers alike
+    digits = "9" * 5000
     cls = tmp_path / "long.cls"
-    cls.write_text("n=" + "9" * 5000 + "\n0\n", encoding="ascii")
-    start = time.monotonic()
-    outcome = dispatch(["td", "--class", str(cls)])
-    assert time.monotonic() - start < 1.0
-    assert outcome.code == EXIT_INPUT
-    assert outcome.text.startswith("error: line 1: malformed header ")
+    cls.write_text(f"n={digits}\n0\n", encoding="ascii")
+    tch = tmp_path / "long.tch"
+    tch.write_text(f"n={digits} d=1\n0 : 1\n", encoding="ascii")
+    tour = tmp_path / "long.tour"
+    tour.write_text(f"n={digits}\n1 2\n", encoding="ascii")
+    good = tmp_path / "good.cls"
+    good.write_text("n=1\n0\n", encoding="ascii")
+    readers = [(["td", "--class", str(cls)], 5002),
+               (["verify-teacher", "--class", str(good), "--teacher", str(tch)], 5006),
+               (["tournament", "class", "--mode", "1", "--in", str(tour)], 5002)]
+    for argv, width in readers:
+        error = f"line 1: malformed header 'n={'9' * 38}' (first 40 of {width} characters)"
+        for json_flag in [], ["--json"]:
+            start = time.monotonic()
+            outcome = dispatch(argv + json_flag)
+            assert time.monotonic() - start < 1.0
+            assert outcome.code == EXIT_INPUT
+            assert len(outcome.text) < 200, outcome.text
+            assert outcome.text == (json.dumps({"error": error}) if json_flag else f"error: {error}")
 
 
 def test_bounds_text_golden(capsys):

@@ -198,6 +198,30 @@ def test_codec_errors_name_the_offending_line(parse, text, where):
         assert not message.startswith("line "), message
 
 
+_LONG = "1" * 45  # a line past the 40 characters that an error repeats
+_CUT = f"{'1' * 40!r} (first 40 of 45 characters)"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_class, "n=x\n0\n", "line 1: malformed header 'n=x'"),
+    (parse_class, f"n=x{_LONG}\n", f"line 1: malformed header 'n=x{'1' * 37}'"
+                                    " (first 40 of 48 characters)"),
+    (parse_teacher, "n=2 d=3\n", "line 1: header 'n=2 d=3' out of range"),
+    (parse_teacher, f"n=2 d=3{_LONG}\n", f"line 1: header 'n=2 d=3{'1' * 33}'"
+                                          " (first 40 of 52 characters) out of range"),
+    (parse_class, "n=2\n01\n01\n", "line 3: duplicate concept '01'"),
+    (parse_class, f"n=45\n{_LONG}\n{_LONG}\n", f"line 3: duplicate concept {_CUT}"),
+    (parse_teacher, "n=2 d=1\n01 : 1\n01 : 2\n", "line 3: duplicate concept '01'"),
+    (parse_teacher, f"n=45 d=1\n{_LONG} : 1\n{_LONG} : 2\n",
+     f"line 3: duplicate concept {_CUT}"),
+])
+def test_codec_errors_repeat_at_most_40_characters_of_a_line(parse, text, message):
+    # a line that fits is quoted whole; a longer one by its start and length
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @given(st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), min_size=1,
                                              max_size=12, unique=True))))

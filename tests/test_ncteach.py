@@ -32,6 +32,7 @@ from teachlab import (
     decide_order,
     instances_to_mask,
     is_nc_teacher,
+    ksz_bound,
     linear_tournament,
     mask_to_instances,
     nctd,
@@ -140,6 +141,11 @@ def test_nctd_counting_lower_bound():
     # over [5]: 2^1 * C(5,1) = 10 < 24 <= 2^2 * C(5,2) = 40
     k = ConceptClass.from_masks(range(24), 5)
     assert nctd_lower_bound(k) == 2
+    # the bound is bounds.ksz_bound's, at every size of class over [n], n <= 10
+    for n in range(1, 11):
+        for m in range(1, (1 << n) + 1):
+            least = min(d for d in range(n + 1) if ksz_bound(n, d) >= m)
+            assert nctd_lower_bound(ConceptClass.from_masks(range(m), n)) == least, (n, m)
 
 
 def test_nctd_matches_bruteforce_on_small_classes():
