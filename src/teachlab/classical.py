@@ -30,7 +30,6 @@ step meter (errors) as wide as the most bits one of its steps reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .concepts import Concept, ConceptClass, instances_to_mask, mask_to_instances
 from .errors import _steps
@@ -117,58 +116,16 @@ def _packing(masks: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4)
-def _swap_masks(side: int, blocks: int) -> tuple[tuple[int, int], ...]:
-    """The (distance, mask) steps that transpose each of `blocks` side x side bit blocks.
-
-    The blocks sit side by side in `side` rows of blocks*side bits, bit x of
-    row i at i*blocks*side + x.  Step j (side/2, ..., 2, 1) swaps each bit
-    whose row has bit j clear and whose column has bit j set with the bit j
-    rows down and j columns left.
-    """
-    bb = side // 8
-    steps = []
-    j = side >> 1
-    while j:
-        row = sum(1 << x for x in range(side) if x & j).to_bytes(bb, "little") * blocks
-        rows = b"".join(bytes(len(row)) if i & j else row for i in range(side))
-        steps.append((j * (blocks * side - 1), int.from_bytes(rows, "little")))
-        j >>= 1
-    return tuple(steps)
-
-
 def _columns(masks: tuple[int, ...] | list[int], n: int) -> list[int]:
     """Each instance's column, the bitset of the concepts containing it, in instance order.
 
-    The bit matrix with a row per concept is padded with zeros and cut into
-    square blocks whose side is the power of two >= max(8, min(m, n)), so
-    the blocks run along one axis only.  They are laid side by side in one
-    int of `side` rows: row r strings together the matrix rows r, side + r,
-    2*side + r, ...  All are transposed in place at once by log2(side)
-    masked swaps (Warren, Hacker's Delight, 7-3).  Row r then holds column
-    r of each block in turn: all of instance r's column when the blocks run
-    down the concepts, the columns of instances r, side + r, ... when they
-    run across the instances.
+    The class is written as one string of binary digits, n per concept and
+    the last concept first (one format field per concept, which is faster
+    than joining a string per concept), so instance x's column is the slice
+    from character n - x in steps of n, with concept 0 as its last digit.
     """
-    m = len(masks)
-    if not m:
-        return [0] * n
-    side = max(8, 1 << (min(m, n) - 1).bit_length())
-    bb = side // 8
-    tall, wide = -(-m // side), -(-n // side)
-    rows = [c.to_bytes(wide * bb, "little") for c in masks]
-    rows += [bytes(wide * bb)] * (tall * side - m)
-    layout = [b""] * len(rows)
-    for p in range(tall):
-        layout[p::tall] = rows[p * side:(p + 1) * side]
-    a = int.from_bytes(b"".join(layout), "little")
-    for shift, mask in _swap_masks(side, tall * wide):
-        t = (a ^ a >> shift) & mask
-        a ^= t ^ t << shift
-    blob = a.to_bytes(tall * wide * side * bb, "little")
-    span, stride = tall * bb, tall * wide * bb
-    return [int.from_bytes(blob[at:at + span], "little")
-            for at in [r * stride + q * span for q in range(wide) for r in range(side)][:n]]
+    bits = (f"{{:0{n}b}}" * len(masks)).format(*reversed(masks))
+    return [int(bits[n - x::n] or "0", 2) for x in range(1, n + 1)]
 
 
 def _splitters(k: ConceptClass, live: int) -> tuple[list[int], list[int]]:

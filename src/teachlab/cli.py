@@ -5,7 +5,9 @@ hold (never used for I/O trouble); 2 bad input, malformed file, or bad
 usage; 3 budget exceeded or result inconclusive.  --timeout is the only time
 limit; the size caps left stand for memory (only the exhaustive enumeration
 of verify dim1 and search maxclass, at n <= 4; past it search maxclass gives
-a greedy lower bound) and for output that must not depend on time (bounds).
+a greedy lower bound) and for choices that must not depend on time (which h
+bounds uses: it solves H_t(n, d) exactly only when C(n, d) <= 24, a search
+that reads the budget like any other).
 
 The file codecs live beside the objects they read: classes in concepts,
 teachers in ncteach, tournaments in tournaments and families in johnson.
@@ -50,6 +52,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .concepts import _shown
 from .errors import BudgetError, PropertyViolation, budget
 
 EXIT_OK = 0
@@ -77,7 +80,7 @@ def _budget_secs(raw: str) -> float:
         secs = math.nan
     if not secs >= 0:
         raise argparse.ArgumentTypeError(
-            f"--timeout and {BUDGET_ENV} take a number of seconds >= 0, got {raw!r}")
+            f"--timeout and {BUDGET_ENV} take a number of seconds >= 0, got {_shown(raw)}")
     return secs
 
 

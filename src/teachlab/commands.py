@@ -14,7 +14,7 @@ from pathlib import Path
 from .bounds import bound_report
 from .classical import rtd, rtd_bruteforce, td_of, teaching_report
 from .cli import BUDGET_ENV, EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY, _budget_secs, exact_ints
-from .concepts import ConceptClass, mask_to_instances, parse_class, serialize_class
+from .concepts import ConceptClass, _shown, mask_to_instances, parse_class, serialize_class
 from .errors import FormatError, PropertyViolation
 from .experiments import (
     ExperimentConfig,
@@ -66,7 +66,7 @@ def _job_count(raw: str) -> int:
         jobs = 0
     if jobs < 1:
         raise argparse.ArgumentTypeError(
-            f"need a whole number of worker processes >= 1, got {raw!r}")
+            f"need a whole number of worker processes >= 1, got {_shown(raw)}")
     return jobs
 
 

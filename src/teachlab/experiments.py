@@ -390,10 +390,9 @@ def _cube_walk(n: int) -> tuple[bytes, list[tuple[int, ...]], list[tuple[int, in
     return counts, list(zip(*columns)), turns
 
 
-def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The number of size-concept classes over [n], C(2^n, size), and those
-    with an order-d teacher, as combination tuples in itertools.combinations
-    order.
+def _decided_classes(n: int, d: int, size: int) -> list[tuple[int, ...]]:
+    """The size-concept classes over [n] with an order-d teacher, as
+    combination tuples in itertools.combinations order.
 
     A clash reads only c ^ c' and S | S'.  XORing every concept with one mask
     v keeps every c ^ c', and permuting the instances maps each set S to its
@@ -437,7 +436,7 @@ def _decided_classes(n: int, d: int, size: int) -> tuple[int, list[tuple[int, ..
     while key >= 0:
         passing.append(tuple(c for c in range(total) if key >> c & 1))
         key = verdicts.find(2, key + 1)
-    return comb(total, size), sorted(passing)
+    return sorted(passing)
 
 
 def verify_dim1(n: int) -> Dim1Report:
@@ -459,11 +458,10 @@ def verify_dim1(n: int) -> Dim1Report:
         raise BudgetError(f"enumeration over C(2^n, 2n) classes is budgeted for n <= 4, got {n}")
     size = 2 * n
     full = (1 << n) - 1
-    candidates, admissible = _decided_classes(n, 1, size)
-    passing = frozenset(map(frozenset, admissible))
+    passing = frozenset(map(frozenset, _decided_classes(n, 1, size)))
     expected = frozenset(frozenset(class2(g).masks) for g in all_tournaments(n))
     closed = all(all((full ^ m) in cls for m in cls) for cls in passing)
-    return Dim1Report(n, candidates, passing, expected, closed)
+    return Dim1Report(n, comb(1 << n, size), passing, expected, closed)
 
 
 @dataclass(frozen=True)
@@ -517,7 +515,7 @@ def max_class_search(n: int, d: int) -> MaxClassResult:
             return MaxClassResult(n, d, "exact", lower, witness, lower, lower)
         return MaxClassResult(n, d, "inconclusive", None, witness, lower, upper)
     for size in range(upper, 0, -1):
-        _, passing = _decided_classes(n, d, size)
+        passing = _decided_classes(n, d, size)
         if passing:
             full, turns = (1 << n) - 1, _cube_walk(n)[2]
             keys = set()

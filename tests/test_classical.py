@@ -263,7 +263,7 @@ def _plain_splitters(masks, n, live):
 
 @pytest.mark.parametrize("m, n", [(0, 5), (1, 1), (2, 1), (3, 2), (5, 40), (9, 17), (12, 100),
                                   (8, 24), (16, 8), (37, 23), (100, 7), (129, 65), (300, 9),
-                                  (1000, 12)])
+                                  (1000, 12), (64, 64), (3, 10_000)])
 def test_splitters_match_a_plain_column_build(m, n):
     # no rows: teaching_report transposes no splitter columns at m = 1
     rng = random.Random(m * 1000 + n)

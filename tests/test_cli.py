@@ -51,6 +51,17 @@ def golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="ascii")
 
 
+# a command-line value far past the 40 characters an error repeats
+LONG_VALUE = "x" * 5000
+
+
+def assert_cut(raw: str, err: str) -> None:
+    """A long value is repeated only in part, so the error stays short."""
+    if raw == LONG_VALUE:
+        assert "(first 40 of 5000 characters)" in err
+        assert len(err) < 400
+
+
 # every subcommand's exit code, output and written files on small inputs, with
 # and without --json; "{tmp}" stands for the directory the inputs are written to
 CLI_OUTPUTS = json.loads(golden("cli_outputs.json"))
@@ -429,6 +440,16 @@ def test_bounds_json_golden(capsys):
     assert doc["factor"] == pytest.approx(0.914213562373)
 
 
+def test_bounds_reads_the_budget_only_when_it_solves_h(capsys):
+    # C(6, 2) = 15 <= 24 runs the H_t search, which reads the budget; C(10, 3)
+    # = 120 takes the chain bound, so no budget changes its output
+    outcome = dispatch(["bounds", "--n", "6", "--d", "2", "--t", "2", "--timeout", "0"])
+    assert outcome.code == EXIT_BUDGET
+    assert outcome.text == "error: H_2(6,2) search hit its deadline with 5 <= H_2(6,2) <= 10"
+    assert main(["bounds", "--n", "10", "--d", "3", "--t", "2", "--timeout", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == golden("bounds_10_3_2.txt")
+
+
 def test_bounds_csv_d1_leaves_t_empty(capsys):
     assert main(["bounds", "--n", "6", "--d", "1", "--csv"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -477,13 +498,15 @@ def test_experiment_tdmin_csv_to_stdout_refuses_json():
         "error": "--out - prints the CSV; it cannot be combined with --json"}
 
 
-@pytest.mark.parametrize("raw", ["0", "-1", "two"])
+@pytest.mark.parametrize("raw", ["0", "-1", "two", pytest.param(LONG_VALUE, id="x5000")])
 def test_experiment_tdmin_rejects_jobs_below_one(raw, capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["experiment", "tdmin", "--n", "6", "--trials", "3", "--seed", "42",
                   "--jobs", raw])
     assert exc.value.code == EXIT_INPUT
-    assert "--jobs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--jobs" in err
+    assert_cut(raw, err)
 
 
 def test_experiment_tdmin_runs_past_n_128():
@@ -584,7 +607,7 @@ def test_budget_env_sets_default_timeout(half3, monkeypatch):
     assert BUDGET_ENV in outcome.text
 
 
-@pytest.mark.parametrize("raw", ["nan", "-1", "seconds"])
+@pytest.mark.parametrize("raw", ["nan", "-1", "seconds", pytest.param(LONG_VALUE, id="x5000")])
 def test_timeout_flag_rejects_nan_negative_and_text(half3, raw, capsys):
     # NaN would pass every "monotonic() > deadline" check and disable the budget
     with pytest.raises(SystemExit) as exc:
@@ -593,9 +616,10 @@ def test_timeout_flag_rejects_nan_negative_and_text(half3, raw, capsys):
     err = capsys.readouterr().err
     assert f"argument --timeout: --timeout and {BUDGET_ENV} take a number of seconds >= 0" in err
     assert "_budget_secs" not in err
+    assert_cut(raw, err)
 
 
-@pytest.mark.parametrize("raw", ["nan", "NaN", "-0.5"])
+@pytest.mark.parametrize("raw", ["nan", "NaN", "-0.5", pytest.param(LONG_VALUE, id="x5000")])
 def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
     monkeypatch.setenv(BUDGET_ENV, raw)
     for argv in (["nctd", "--class", str(half3)],
@@ -605,6 +629,7 @@ def test_budget_env_rejects_nan_and_negative(half3, monkeypatch, raw):
         outcome = dispatch(argv)
         assert outcome.code == EXIT_INPUT
         assert BUDGET_ENV in outcome.text
+        assert_cut(raw, outcome.text)
 
 
 # every search subcommand on an input it cannot finish within the budget; a
